@@ -167,15 +167,8 @@ let resilience_fields steps =
            (List.filter (fun d -> d = Degradation.Deadline_truncated) degs)) );
   ]
 
-let formulation_fields (config : Augment.config) steps =
-  [
-    ("formulation", Json.Str (Formulation.mode_to_string config.Augment.formulation));
-    ("cuts_added", Json.Int (sum_steps (fun s -> s.Augment.cuts_added) steps));
-    ("cuts_purged", Json.Int (sum_steps (fun s -> s.Augment.cuts_purged) steps));
-    ( "separation_time_s",
-      Json.Float
-        (List.fold_left (fun a s -> a +. s.Augment.separation_time) 0. steps) );
-  ]
+let formulation_fields (config : Augment.config) =
+  [ ("formulation", Json.Str (Formulation.mode_to_string config.Augment.formulation)) ]
 
 (* First [k] modules of the ami33 instance with every net that stays
    inside them — the prefix family the formulation ablation and the
@@ -252,7 +245,7 @@ let table1 () =
             ("pivots", Json.Int (sum_steps (fun s -> s.Augment.pivots) steps));
             ("worst_status", Json.Str (status_str (worst_status steps)));
           ]
-          @ formulation_fields (base_config ()) steps
+          @ formulation_fields (base_config ())
           @ resilience_fields steps)
         :: !rows;
       printf "%8d %12.0f %12.1f %14.2f %11.1f%% %10d\n" k
@@ -572,7 +565,7 @@ let ablation_warm_start () =
             ("certified", Json.Bool (errors = 0));
             ("worst_status", Json.Str (status_str (worst_status steps)));
           ]
-          @ formulation_fields (base_config ()) steps
+          @ formulation_fields (base_config ())
           @ resilience_fields steps)
       in
       rows :=
@@ -641,7 +634,7 @@ let ablation_parallel () =
             ("identical_to_jobs1", Json.Bool identical);
             ("certified", Json.Bool (errors = 0));
           ]
-          @ formulation_fields config res.Augment.steps
+          @ formulation_fields config
           @ resilience_fields res.Augment.steps)
         :: !rows)
     [ 1; 2; 4; 8 ];
@@ -653,13 +646,12 @@ let ablation_parallel () =
     ]
 
 let ablation_formulation () =
-  hr "Ablation -- MILP formulation strengthening (basic vs tight vs cuts)";
+  hr "Ablation -- MILP formulation strengthening (basic vs tight)";
   printf "(basic: global big-M caps, the paper's formulation verbatim;\n";
   printf " tight: per-pair big-M, static valid inequalities, node bound\n";
-  printf " propagation; cuts: same, with the stacking/clique families\n";
-  printf " separated lazily at B&B nodes instead of sitting in the LP)\n\n";
-  printf "%4s %-6s %10s %10s %10s %7s %7s %9s %10s %8s\n" "K" "Mode" "Height"
-    "Nodes" "Pivots" "Cuts+" "Cuts-" "Sep (s)" "Time (s)" "Certify";
+  printf " propagation)\n\n";
+  printf "%4s %-6s %10s %10s %10s %10s %8s\n" "K" "Mode" "Height" "Nodes"
+    "Pivots" "Time (s)" "Certify";
   let rows = ref [] in
   let sizes = List.filter (fun k -> k <= !max_k) [ 10; 25; 33 ] in
   List.iter
@@ -675,14 +667,11 @@ let ablation_formulation () =
           let errors, _, _ =
             Fp_check.Diagnostic.count (Fp_check.Certify.placement nl pl)
           in
-          printf "%4d %-6s %10.1f %10d %10d %7d %7d %9.2f %10.2f %8s\n" k
+          printf "%4d %-6s %10.1f %10d %10d %10.2f %8s\n" k
             (Formulation.mode_to_string fm)
             pl.Placement.height
             (sum_steps (fun s -> s.Augment.nodes) steps)
             (sum_steps (fun s -> s.Augment.pivots) steps)
-            (sum_steps (fun s -> s.Augment.cuts_added) steps)
-            (sum_steps (fun s -> s.Augment.cuts_purged) steps)
-            (List.fold_left (fun a s -> a +. s.Augment.separation_time) 0. steps)
             dt
             (if errors = 0 then "pass" else "FAIL");
           rows :=
@@ -700,10 +689,10 @@ let ablation_formulation () =
                  ("certified", Json.Bool (errors = 0));
                  ("worst_status", Json.Str (status_str (worst_status steps)));
                ]
-              @ formulation_fields config steps
+              @ formulation_fields config
               @ resilience_fields steps)
             :: !rows)
-        [ Formulation.Basic; Formulation.Tight; Formulation.Cuts ])
+        [ Formulation.Basic; Formulation.Tight ])
     sizes;
   write_json "ablation_formulation" [ ("rows", Json.List (List.rev !rows)) ]
 
@@ -870,7 +859,7 @@ let fault_matrix () =
                Json.Int (sum_steps (fun s -> s.Augment.retries) res.Augment.steps));
               ("ok", Json.Bool ok);
             ]
-            @ formulation_fields config res.Augment.steps)
+            @ formulation_fields config)
           :: !rows)
     (Fp_util.Fault.sites ());
   write_json "fault_matrix"
@@ -1114,7 +1103,7 @@ let () =
         "  run only the domain-parallel scaling ablation" );
       ( "--ablation-formulation",
         Arg.Unit (fun () -> any := true; run_form := true),
-        "  run only the formulation-strengthening ablation (basic/tight/cuts)" );
+        "  run only the formulation-strengthening ablation (basic/tight)" );
       ( "--portfolio",
         Arg.Unit (fun () -> any := true; run_pf := true),
         "  race the milp/sa/project engines and record per-engine rows" );

@@ -113,16 +113,14 @@ let formulation_arg =
   Arg.(value
        & opt
            (enum
-              [ ("basic", Formulation.Basic); ("tight", Formulation.Tight);
-                ("cuts", Formulation.Cuts) ])
+              [ ("basic", Formulation.Basic); ("tight", Formulation.Tight) ])
            Formulation.Basic
        & info [ "formulation" ] ~docv:"MODE"
            ~doc:
              "MILP strengthening mode: $(b,basic) (the paper's global \
-              big-M, the default), $(b,tight) (per-pair big-M plus the \
-              static valid-inequality family in the base LP), or \
-              $(b,cuts) (per-pair big-M with the inequalities separated \
-              lazily as cutting planes at branch-and-bound nodes).")
+              big-M, the default) or $(b,tight) (per-pair big-M plus the \
+              static valid-inequality family in the base LP, with bound \
+              propagation at every branch-and-bound node).")
 
 let time_budget_arg =
   Arg.(value & opt (some float) None

@@ -52,7 +52,7 @@ type context = {
           exceeds this multiple of its required span — a single loose
           direction is normal even under exact per-pair coefficients,
           while all four loose means the constants ignore the pair's
-          actual geometry.  The [tight]/[cuts] formulations' per-pair
+          actual geometry.  The [tight] formulation's per-pair
           big-Ms lint clean here; an oversized global-M model does not. *)
 }
 

@@ -37,9 +37,6 @@ type step_stat = {
   pivots : int;
   shadow_pivots : int;
   refactorizations : int;
-  cuts_added : int;
-  cuts_purged : int;
-  separation_time : float;
   warm_height : float;
   step_height : float;
   step_time : float;
@@ -146,15 +143,10 @@ let config_digest cfg =
   | Formulation.Min_height -> p "obj:height;"
   | Formulation.Min_height_plus_wire lambda -> p "obj:wire:%h;" lambda);
   (* Emitted only when non-default, so digests of basic-formulation
-     configs match the ones journals recorded before the field existed.
-     The cut knobs shape the trajectory only in [Cuts] mode, so they are
-     digested only there. *)
+     configs match the ones journals recorded before the field existed. *)
   (match cfg.formulation with
   | Formulation.Basic -> ()
-  | Formulation.Tight -> p "form:tight;"
-  | Formulation.Cuts ->
-    p "form:cuts:%d:%d;" cfg.milp.Branch_bound.cut_rounds
-      cfg.milp.Branch_bound.cuts_per_round);
+  | Formulation.Tight -> p "form:tight;");
   p "rot:%b;" cfg.allow_rotation;
   p "lin:%s;"
     (match cfg.linearization with
@@ -278,8 +270,7 @@ let no_outcome =
   {
     Branch_bound.status = Branch_bound.No_solution; best = None; nodes = 0;
     lp_solves = 0; warm_hits = 0; cold_solves = 0; refactorizations = 0;
-    pivots = 0; shadow_pivots = 0; numerical_recoveries = 0;
-    cuts_added = 0; cuts_purged = 0; separation_time = 0.; tasks_lost = 0;
+    pivots = 0; shadow_pivots = 0; numerical_recoveries = 0; tasks_lost = 0;
     root_bound = nan; elapsed = 0.;
     per_domain = [||]; frontier_tasks = 0; waves = 0;
   }
@@ -383,7 +374,7 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
       ~allow_rotation:cfg.allow_rotation ~linearization:cfg.linearization items
   in
   let warm_height = Warm_start.height_after ~skyline:obstacle_sky warm in
-  (* Incumbent clamp (Tight / Cuts): the warm packing is a feasible
+  (* Incumbent clamp (Tight): the warm packing is a feasible
      placement of height [warm_height], so when height alone is
      optimized no solution worth finding exceeds it — shrinking the
      chip-height variable's bound to the incumbent is then free, and it
@@ -396,7 +387,7 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
      item minimum height, so the model stays well-posed. *)
   let height_bound =
     match (cfg.formulation, cfg.objective, cfg.critical_net_bound) with
-    | (Formulation.Tight | Formulation.Cuts), Formulation.Min_height, None ->
+    | Formulation.Tight, Formulation.Min_height, None ->
       Float.min height_bound warm_height
     | _ -> height_bound
   in
@@ -441,8 +432,6 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
       Fault.trip site_candidate;
       let outcome =
         Branch_bound.solve ~params:milp ?warm:warm_sol ?pool
-          ?cutter:(Formulation.separator built)
-          ~cut_pool:built.Formulation.cut_candidates
           built.Formulation.model
       in
       if outcome.Branch_bound.numerical_recoveries > 0 then
@@ -641,9 +630,6 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
         pivots = outcome.Branch_bound.pivots;
         shadow_pivots = outcome.Branch_bound.shadow_pivots;
         refactorizations = outcome.Branch_bound.refactorizations;
-        cuts_added = outcome.Branch_bound.cuts_added;
-        cuts_purged = outcome.Branch_bound.cuts_purged;
-        separation_time = outcome.Branch_bound.separation_time;
         warm_height = e.e_warm_height;
         step_height = Skyline.max_height !skyline;
         step_time = Unix.gettimeofday () -. step_start;
@@ -784,7 +770,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
              Branch_bound.time_limit =
                Float.min cfg.milp.Branch_bound.time_limit share;
              (* Node-entry interval propagation rides the strengthened
-                formulations: it needs no formulation support itself, but
+                formulation: it needs no formulation support itself, but
                 gating it keeps the default [Basic] trajectory (and its
                 recorded benchmarks) bit-identical. *)
              propagate = cfg.formulation <> Formulation.Basic }

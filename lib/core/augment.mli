@@ -65,12 +65,6 @@ type step_stat = {
       (** cold-engine pivots on the same node sequence; [0] unless
           {!Fp_milp.Branch_bound.params}[.shadow_cold] *)
   refactorizations : int;        (** basis refactorizations across node LPs *)
-  cuts_added : int;
-      (** cutting planes appended by separation rounds across all nodes;
-          [0] unless the config's formulation mode is [Cuts] *)
-  cuts_purged : int;
-      (** appended cut rows removed again as slack before branching *)
-  separation_time : float;       (** seconds spent separating cuts *)
   warm_height : float;           (** bottom-left incumbent height *)
   step_height : float;           (** chip height after this step *)
   step_time : float;             (** seconds, including rejected candidates
@@ -133,10 +127,8 @@ type config = {
   objective : Formulation.objective;
   formulation : Formulation.mode;
       (** MILP strengthening mode for every step's model (default
-          [Basic]; see {!Formulation.mode}).  [Cuts] additionally feeds
-          {!Formulation.separator} to the branch-and-bound as its
-          cutting-plane callback.  Digested into checkpoints only when
-          not [Basic], so existing journals stay valid. *)
+          [Basic]; see {!Formulation.mode}).  Digested into checkpoints
+          only when not [Basic], so existing journals stay valid. *)
   allow_rotation : bool;
   linearization : Formulation.linearization;
   use_covering : bool;

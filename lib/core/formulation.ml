@@ -2,7 +2,6 @@ module Rect = Fp_geometry.Rect
 module Tol = Fp_geometry.Tol
 module Model = Fp_milp.Model
 module Expr = Fp_milp.Expr
-module Branch_bound = Fp_milp.Branch_bound
 module Module_def = Fp_netlist.Module_def
 module Net = Fp_netlist.Net
 module Netlist = Fp_netlist.Netlist
@@ -11,18 +10,11 @@ type linearization = Tangent | Secant
 
 type objective = Min_height | Min_height_plus_wire of float
 
-type mode = Basic | Tight | Cuts
+type mode = Basic | Tight
 
 let mode_to_string = function
   | Basic -> "basic"
   | Tight -> "tight"
-  | Cuts -> "cuts"
-
-let mode_of_string = function
-  | "basic" -> Some Basic
-  | "tight" -> Some Tight
-  | "cuts" -> Some Cuts
-  | _ -> None
 
 type item = {
   def : Module_def.t;
@@ -84,7 +76,6 @@ type built = {
   linearization : linearization;
   formulation : mode;
   sep_rows : sep_row list;
-  cut_candidates : Branch_bound.cut list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -191,7 +182,7 @@ let expr_interval prob e =
    big-M slack expression (Expr.zero for an always-active constraint).
    Without [record] (the basic formulation) the coefficient is the
    direction cap itself — chip width or height bound, the paper's W.
-   With [record] (tight / cuts) it is the per-pair, per-direction value
+   With [record] (tight) it is the per-pair, per-direction value
 
      M = max 0 (min cap (min (ub lhs) cap - lb rhs))
 
@@ -331,7 +322,7 @@ let self_check (b : built) =
     b.fixed
 
 (* ------------------------------------------------------------------ *)
-(* Formulation strengthening (tight / cuts modes)                       *)
+(* Formulation strengthening (tight mode)                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Recompute every recorded big-M from the current variable bounds,
@@ -340,7 +331,7 @@ let self_check (b : built) =
    decreased.  Sound whenever bounds have only tightened since the row
    was emitted — e.g. after later single-variable rows were folded into
    bounds by {!Model.add_constr_or_bound} / [Lp_problem.tighten_bounds].
-   [build] runs it once at the end for the non-basic modes; the
+   [build] runs it once at the end in [Tight] mode; the
    successive-augmentation driver gets the "after each commit" refresh
    for free because every augmentation step builds afresh against the
    committed placement. *)
@@ -419,9 +410,8 @@ let rel_tag = function
 
    Inequalities vacuous under the current bounds are dropped, as are the
    fixed-partner variants that the per-pair big-M already encodes
-   exactly (see {!emit_rel}).  Emission order is deterministic —
-   separation in [Cuts] mode must replay bit-identically across
-   domains. *)
+   exactly (see {!emit_rel}).  Emission order is deterministic, so a
+   [Tight] model's rows come out the same on every run. *)
 let strengthening_inequalities b ~allow_rotation =
   let prob = Model.problem b.model in
   let lb e = fst (expr_interval prob e) and ub e = snd (expr_interval prob e) in
@@ -548,43 +538,6 @@ let strengthening_inequalities b ~allow_rotation =
   done;
   List.rev !out
 
-(* How far a candidate must be violated before it is worth a row.  Kept
-   above the simplex primal-feasibility tolerance so a cut already
-   present in the LP (satisfied to 1e-7 by the relaxation point) is
-   never re-separated. *)
-let cut_violation_tol = 1e-6
-
-(* Deterministic separation callback over the precompiled candidate
-   pool: violated candidates, most violated first, ties broken by
-   compilation order.  [None] unless the formulation is [Cuts] with a
-   nonempty pool — the basic and tight modes run plain branch and
-   bound. *)
-let separator b =
-  match (b.formulation, b.cut_candidates) with
-  | (Basic | Tight), _ | _, [] -> None
-  | Cuts, cands ->
-    let cands = Array.of_list cands in
-    Some
-      (fun xpt ->
-        let violated = ref [] in
-        Array.iteri
-          (fun idx (c : Branch_bound.cut) ->
-            let lhs =
-              List.fold_left
-                (fun acc (co, v) -> acc +. (co *. xpt.(v)))
-                0. c.Branch_bound.cut_terms
-            in
-            let v = lhs -. c.Branch_bound.cut_rhs in
-            if Tol.gt ~tol:cut_violation_tol v 0. then
-              violated := (v, idx) :: !violated)
-          cands;
-        !violated
-        |> List.sort (fun (v1, i1) (v2, i2) ->
-               match Float.compare v2 v1 with
-               | 0 -> Int.compare i1 i2
-               | c -> c)
-        |> List.map (fun (_, idx) -> cands.(idx)))
-
 let build ~chip_width ~height_bound ?(objective = Min_height)
     ?(allow_rotation = true) ?(linearization = Secant) ?(fixed = [])
     ?(formulation = Basic) ?wire_context
@@ -681,7 +634,7 @@ let build ~chip_width ~height_bound ?(objective = Min_height)
   let record =
     match formulation with
     | Basic -> None
-    | Tight | Cuts -> Some (fun sr -> sep_rows := sr :: !sep_rows)
+    | Tight -> Some (fun sr -> sep_rows := sr :: !sep_rows)
   in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -824,83 +777,46 @@ let build ~chip_width ~height_bound ?(objective = Min_height)
   in
   Model.set_objective model `Minimize
     Expr.(var height + (lambda * wire_term));
-  let b0 =
+  let b =
     {
       model; chip_width; height_bound; items; x; y; rot; flex; w_expr; h_expr;
       height; seps = List.rev !seps; net_infos; fixed; linearization;
-      formulation; sep_rows = List.rev !sep_rows; cut_candidates = [];
+      formulation; sep_rows = List.rev !sep_rows;
     }
   in
-  let b =
-    match formulation with
-    | Basic -> b0
-    | Tight | Cuts -> (
-      (* Root presolve: one interval-propagation pass over the finished
-         rows shrinks variable boxes (every integer-feasible point
-         survives; integer snapping may cut LP-only points, which only
-         strengthens the relaxation), and the per-pair big-M refresh
-         below then reads those smaller boxes.  Bounds may also have
-         tightened since the separation rows were emitted (later
-         single-variable rows fold into bounds); either way every
-         per-pair M is recomputed against the final bounds before the
-         strengthening family is derived from those same bounds. *)
-      let prob = Model.problem model in
-      let ints = Array.make (Fp_lp.Lp_problem.num_vars prob) false in
-      List.iter (fun v -> ints.(v) <- true) (Model.integer_vars model);
-      (match
-         Fp_lp.Lp_problem.propagate_bounds
-           ~integral:(fun v -> v < Array.length ints && ints.(v))
-           prob
-       with
-      | `Ok _ -> ()
-      | `Infeasible undo ->
-        (* Propagation proved the step infeasible; restore so the MILP
-           reports it through its normal (certified) path. *)
-        List.iter
-          (fun (v, lb, ub) -> Fp_lp.Lp_problem.set_bounds prob v ~lb ~ub)
-          undo);
-      ignore (retighten b0 : int);
-      let ineqs = strengthening_inequalities b0 ~allow_rotation in
-      match formulation with
-      | Basic -> assert false
-      | Tight ->
-        (* Static strengthening: the family joins the base LP. *)
-        List.iter
-          (fun (name, e) ->
-            Model.add_constr_or_bound model ~name e Model.Le Expr.zero)
-          ineqs;
-        b0
-      | Cuts ->
-        (* Split the family: the per-direction lower/upper pushes shape
-           the LP vertex the search branches on, and their effect shows
-           up even when the relaxation sits at an integral-but-unfixed
-           point the separator cannot see past — so they join the base
-           LP up front.  The stacking / clique rows, by contrast, are
-           cheap to check against a point and mostly vacuous once the
-           area bound dominates, which is exactly the profile that suits
-           lazy separation: they become the cut pool for the
-           branch-and-bound loop (and, vacuous or not, still join node
-           bound propagation from there). *)
-        let is_bound_lifting (name, _) =
-          String.length name >= 6 && String.sub name 0 6 = "vi_stk"
-          || String.length name >= 7 && String.sub name 0 7 = "vi_clqw"
-          || String.length name >= 7 && String.sub name 0 7 = "vi_clqh"
-        in
-        let lazy_rows, static_rows = List.partition is_bound_lifting ineqs in
-        List.iter
-          (fun (name, e) ->
-            Model.add_constr_or_bound model ~name e Model.Le Expr.zero)
-          static_rows;
-        { b0 with
-          cut_candidates =
-            List.map
-              (fun (name, e) ->
-                { Branch_bound.cut_name = name;
-                  cut_terms = Expr.terms e;
-                  cut_rhs = -.Expr.constant e })
-              lazy_rows;
-        })
-  in
+  (match formulation with
+  | Basic -> ()
+  | Tight ->
+    (* Root presolve: one interval-propagation pass over the finished
+       rows shrinks variable boxes (every integer-feasible point
+       survives; integer snapping may cut LP-only points, which only
+       strengthens the relaxation), and the per-pair big-M refresh
+       below then reads those smaller boxes.  Bounds may also have
+       tightened since the separation rows were emitted (later
+       single-variable rows fold into bounds); either way every
+       per-pair M is recomputed against the final bounds before the
+       strengthening family is derived from those same bounds. *)
+    let prob = Model.problem model in
+    let ints = Array.make (Fp_lp.Lp_problem.num_vars prob) false in
+    List.iter (fun v -> ints.(v) <- true) (Model.integer_vars model);
+    (match
+       Fp_lp.Lp_problem.propagate_bounds
+         ~integral:(fun v -> v < Array.length ints && ints.(v))
+         prob
+     with
+    | `Ok _ -> ()
+    | `Infeasible undo ->
+      (* Propagation proved the step infeasible; restore so the MILP
+         reports it through its normal (certified) path. *)
+      List.iter
+        (fun (v, lb, ub) -> Fp_lp.Lp_problem.set_bounds prob v ~lb ~ub)
+        undo);
+    ignore (retighten b : int);
+    (* Static strengthening: the family joins the base LP. *)
+    List.iter
+      (fun (name, e) ->
+        Model.add_constr_or_bound model ~name e Model.Le Expr.zero)
+      (strengthening_inequalities b ~allow_rotation));
   if check then self_check b;
   b
 

@@ -27,11 +27,10 @@
 module Rect = Fp_geometry.Rect
 module Model = Fp_milp.Model
 module Expr = Fp_milp.Expr
-module Branch_bound = Fp_milp.Branch_bound
 
 type linearization = Tangent | Secant
 
-type mode = Basic | Tight | Cuts
+type mode = Basic | Tight
 (** Formulation-strengthening mode.
 
     - [Basic]: the paper's formulation verbatim — every big-M coefficient
@@ -40,20 +39,12 @@ type mode = Basic | Tight | Cuts
     - [Tight]: per-pair, per-direction big-M derived from variable bounds
       ({!retighten}), plus the whole static valid-inequality family
       (lower/upper pushes, stacking, clique inequalities) appended to the
-      base LP.  Both strengthened modes also run interval bound
-      propagation: once on the root problem here, and at every
-      branch-and-bound node via [Branch_bound.params.propagate].
-    - [Cuts]: per-pair big-M as in [Tight]; the push rows (which shape
-      the LP vertex the search branches on) stay static, while the
-      stacking / clique rows are compiled into a candidate pool and
-      separated lazily at branch-and-bound nodes ({!separator}).  Pool
-      rows also join node bound propagation before they are ever priced
-      into the LP. *)
+      base LP.  It also runs interval bound propagation: once on the
+      root problem here, and at every branch-and-bound node via
+      [Branch_bound.params.propagate]. *)
 
 val mode_to_string : mode -> string
-(** ["basic" | "tight" | "cuts"] — CLI / bench / digest spelling. *)
-
-val mode_of_string : string -> mode option
+(** ["basic" | "tight"] — CLI / bench / digest spelling. *)
 
 type objective =
   | Min_height
@@ -107,7 +98,7 @@ type sep_row = {
 }
 (** One recorded big-M separation row, [sr_lhs <= sr_rhs + sr_m * sr_slack],
     re-tightenable in place via {!retighten}.  Recorded only by the
-    [Tight] / [Cuts] modes, and only when a real row was emitted (an M
+    [Tight] mode, and only when a real row was emitted (an M
     that collapses to 0 makes the relation unconditional and the row may
     fold into a variable bound instead). *)
 
@@ -129,9 +120,7 @@ type built = {
   linearization : linearization;
   formulation : mode;
   sep_rows : sep_row list;
-      (** recorded big-M rows ([Tight] / [Cuts] modes; empty in [Basic]) *)
-  cut_candidates : Branch_bound.cut list;
-      (** precompiled separation pool ([Cuts] mode; empty otherwise) *)
+      (** recorded big-M rows ([Tight] mode; empty in [Basic]) *)
 }
 
 val build :
@@ -178,15 +167,8 @@ val retighten : built -> int
     ever shrinks ([min] with its previous value), so repeated calls are
     sound as long as bounds have only tightened since emission.  Returns
     the number of rows that changed.  [build] calls it once at the end
-    for the non-basic modes; exposed for the bound-tightening tests and
+    in [Tight] mode; exposed for the bound-tightening tests and
     for callers that shrink bounds after building. *)
-
-val separator : built -> Branch_bound.cutter option
-(** Separation callback for {!Fp_milp.Branch_bound.solve} over the
-    precompiled candidate pool: violated candidates, most violated
-    first, ties broken by compilation order — deterministic, so parallel
-    searches replay bit-identically.  [None] unless the formulation is
-    [Cuts] with a nonempty pool. *)
 
 val self_check : built -> unit
 (** Structural self-audit: every item pair and every item–fixed pair must

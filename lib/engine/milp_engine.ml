@@ -89,17 +89,6 @@ let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
     let lp_solves =
       List.fold_left (fun a s -> a + s.Augment.lp_solves) 0 res.Augment.steps
     in
-    let cuts_added =
-      List.fold_left (fun a s -> a + s.Augment.cuts_added) 0 res.Augment.steps
-    in
-    let cuts_purged =
-      List.fold_left (fun a s -> a + s.Augment.cuts_purged) 0 res.Augment.steps
-    in
-    let separation_time =
-      List.fold_left
-        (fun a s -> a +. s.Augment.separation_time)
-        0. res.Augment.steps
-    in
     Solver.finalize ~engine:"milp" ~scenario:sc ~t0 ~work
       ~complete:(not res.Augment.interrupted)
       ~degradations:res.Augment.degradations
@@ -109,9 +98,6 @@ let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
           ("pivots", float_of_int pivots);
           ("lp_solves", float_of_int lp_solves);
           ("steps", float_of_int (List.length res.Augment.steps));
-          ("cuts_added", float_of_int cuts_added);
-          ("cuts_purged", float_of_int cuts_purged);
-          ("separation_time_s", separation_time);
         ]
       nl (Some pl)
   in

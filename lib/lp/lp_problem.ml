@@ -104,38 +104,10 @@ let check_row t i fn =
   if i < 0 || i >= t.nrows then
     invalid_arg (Printf.sprintf "Lp_problem.%s: unknown row %d" fn i)
 
-let constr_at t i =
-  check_row t i "constr_at";
-  t.rows.(i)
-
 let update_constr t i terms cmp rhs =
   check_row t i "update_constr";
   List.iter (fun (_, v) -> check_var t v "update_constr") terms;
   t.rows.(i) <- { (t.rows.(i)) with terms = collapse_terms terms; cmp; rhs }
-
-let truncate_constrs t n =
-  if n < 0 || n > t.nrows then
-    invalid_arg (Printf.sprintf "Lp_problem.truncate_constrs: bad count %d" n);
-  t.nrows <- n
-
-let remove_constrs t idxs =
-  match idxs with
-  | [] -> ()
-  | _ ->
-    let keep = Array.make t.nrows true in
-    List.iter
-      (fun i ->
-        check_row t i "remove_constrs";
-        keep.(i) <- false)
-      idxs;
-    let j = ref 0 in
-    for i = 0 to t.nrows - 1 do
-      if keep.(i) then begin
-        t.rows.(!j) <- t.rows.(i);
-        incr j
-      end
-    done;
-    t.nrows <- !j
 
 let set_obj_coeff t v c =
   check_var t v "set_obj_coeff";
@@ -177,8 +149,7 @@ let tighten_bounds t v ~lb ~ub =
    turns interval reasoning into implication propagation (a binary
    whose lower bound rises above 0 is fixed to 1), which is where most
    of the search-tree pruning comes from. *)
-let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false)
-    ?(extra = [||]) t =
+let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false) t =
   let changed = ref [] in
   (* First-touch undo record per variable, so callers can restore. *)
   let touched = Hashtbl.create 16 in
@@ -258,14 +229,6 @@ let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false)
     let r = ref 0 in
     while not !infeasible && !r < t.nrows do
       sweep_row t.rows.(!r);
-      incr r
-    done;
-    (* [extra] rows join the sweep but not the problem: the MILP layer
-       passes its lazy cut pool here, so propagation sees the full
-       strengthened formulation while the LP stays small. *)
-    let r = ref 0 in
-    while not !infeasible && !r < Array.length extra do
-      sweep_row extra.(!r);
       incr r
     done
   done;

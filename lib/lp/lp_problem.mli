@@ -48,28 +48,11 @@ val add_constr : t -> ?name:string -> term list -> cmp -> float -> unit
     variable repeatedly are summed.  @raise Invalid_argument on an unknown
     variable handle. *)
 
-val constr_at : t -> int -> constr
-(** Row at index [i] (insertion order), without the copying cost of
-    {!constraints}.  @raise Invalid_argument out of range. *)
-
 val update_constr : t -> int -> term list -> cmp -> float -> unit
 (** Rewrite the row at index [i] in place, keeping its name.  Used by the
     formulation layer to re-tighten per-pair big-M coefficients after
     variable bounds have shrunk.  @raise Invalid_argument on an unknown
     row or variable handle. *)
-
-val truncate_constrs : t -> int -> unit
-(** Drop every row with index [>= n], restoring the row count to [n].
-    The branch-and-bound cut loop uses this as its stack discipline: rows
-    appended at a node are truncated when the node is left.
-    @raise Invalid_argument when [n] is negative or above the current
-    count. *)
-
-val remove_constrs : t -> int list -> unit
-(** Remove the rows at the given indices (any order, duplicates allowed)
-    and compact the remaining rows, preserving their relative order.
-    Indices refer to positions before any removal.  @raise
-    Invalid_argument on an out-of-range index. *)
 
 val set_obj_coeff : t -> var -> float -> unit
 val set_sense : t -> sense -> unit
@@ -84,7 +67,6 @@ val tighten_bounds : t -> var -> lb:float -> ub:float -> bool
 val propagate_bounds :
   ?max_sweeps:int ->
   ?integral:(var -> bool) ->
-  ?extra:constr array ->
   t ->
   [ `Ok of (var * float * float) list
   | `Infeasible of (var * float * float) list ]
@@ -95,11 +77,7 @@ val propagate_bounds :
     [integral v] (default: nobody) marks variables whose tightened
     bounds may be snapped to the enclosed integer range — on 0-1
     variables that turns the interval sweep into implication
-    propagation.  [extra] rows (default none) participate in every
-    sweep without being part of the problem — callers holding valid
-    inequalities outside the LP (a lazy cut pool) get their pruning
-    power without their pricing cost.  Deterministic: same bounds in,
-    same bounds out.
+    propagation.  Deterministic: same bounds in, same bounds out.
 
     Returns the first-touch undo list [(v, old_lb, old_ub)] of every
     changed variable — apply it with {!set_bounds} to restore —

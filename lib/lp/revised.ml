@@ -647,88 +647,6 @@ let snapshot_of st =
     sstat = Array.copy st.stat;
   }
 
-(* Appending k rows to the problem appends k logical columns
-   [nstruct + sm .. nstruct + sm + k - 1].  Making them basic keeps the
-   extended basis nonsingular (the new block is an identity under a
-   permutation, so the matrix is block triangular) and, because logicals
-   carry zero cost, preserves dual feasibility: a violated appended row
-   shows up as its basic logical below its lower bound, exactly the
-   situation the dual simplex repairs.  This is what makes cut rounds a
-   warm re-entry instead of a cold solve. *)
-let extend_snapshot snap ~added =
-  if added < 0 then invalid_arg "Revised.extend_snapshot: negative count";
-  if added = 0 then snap
-  else begin
-    let nstruct = snap.sn - snap.sm in
-    {
-      sm = snap.sm + added;
-      sn = snap.sn + added;
-      sbasis =
-        Array.append snap.sbasis
-          (Array.init added (fun i -> nstruct + snap.sm + i));
-      sstat = Array.append snap.sstat (Array.make added VBasic);
-    }
-  end
-
-(* Removing a row is only basis-preserving when that row's logical is
-   basic (true for any Le row slack at positive slack: a nonbasic Le
-   logical rests at its lower bound 0).  Deleting the row and its unit
-   logical column is then a cofactor expansion along a unit column, so
-   the reduced basis stays nonsingular.  Returns [None] when any removed
-   row's logical is nonbasic — the caller must keep those rows. *)
-let shrink_snapshot snap ~removed_rows =
-  match removed_rows with
-  | [] -> Some snap
-  | _ ->
-    let nstruct = snap.sn - snap.sm in
-    let gone = Array.make snap.sm false in
-    List.iter
-      (fun r ->
-        if r < 0 || r >= snap.sm then
-          invalid_arg "Revised.shrink_snapshot: row out of range";
-        gone.(r) <- true)
-      removed_rows;
-    let k = Array.fold_left (fun a g -> if g then a + 1 else a) 0 gone in
-    let removable = ref true in
-    for r = 0 to snap.sm - 1 do
-      if gone.(r) && snap.sstat.(nstruct + r) <> VBasic then removable := false
-    done;
-    if not !removable then None
-    else begin
-      (* shift.(r) = number of removed rows before r; a kept logical at
-         column [nstruct + r] moves to [nstruct + r - shift r]. *)
-      let shift = Array.make snap.sm 0 in
-      let acc = ref 0 in
-      for r = 0 to snap.sm - 1 do
-        shift.(r) <- !acc;
-        if gone.(r) then incr acc
-      done;
-      let sbasis =
-        Array.of_list
-          (List.filter_map
-             (fun c ->
-               if c >= nstruct then begin
-                 let r = c - nstruct in
-                 if gone.(r) then None else Some (c - shift.(r))
-               end
-               else Some c)
-             (Array.to_list snap.sbasis))
-      in
-      if Array.length sbasis <> snap.sm - k then None
-      else begin
-        let sstat = Array.make (snap.sn - k) VLower in
-        Array.blit snap.sstat 0 sstat 0 nstruct;
-        let j = ref nstruct in
-        for r = 0 to snap.sm - 1 do
-          if not gone.(r) then begin
-            sstat.(!j) <- snap.sstat.(nstruct + r);
-            incr j
-          end
-        done;
-        Some { sm = snap.sm - k; sn = snap.sn - k; sbasis; sstat }
-      end
-    end
-
 let dual_feasible st =
   let std = st.std in
   let cols = std.mat.Basis.cols in

@@ -41,21 +41,6 @@ type stats = {
           [false] on a cold solve or after a fallback. *)
 }
 
-val extend_snapshot : snapshot -> added:int -> snapshot
-(** Adapt a snapshot to a problem that gained [added] appended rows
-    (e.g. cutting planes): the new rows' logicals enter the basis, which
-    keeps the basis nonsingular and — logicals being costless — dual
-    feasible, so {!solve_from} repairs a violated cut with dual-simplex
-    pivots instead of a cold solve. *)
-
-val shrink_snapshot : snapshot -> removed_rows:int list -> snapshot option
-(** Adapt a snapshot to the removal of the given row indices (as passed
-    to {!Lp_problem.remove_constrs}).  Succeeds only when every removed
-    row's logical is basic — true for a [Le] cut with positive slack at
-    the snapshot's solution — because only then does deleting the row
-    and its unit column preserve basis nonsingularity.  Returns [None]
-    otherwise; the caller must then keep the rows. *)
-
 val solve : ?max_iters:int -> Lp_problem.t -> result * stats
 (** Cold solve: logical starting basis, primal phase 1 (violated bound
     sides relaxed with unit costs) when needed, then primal phase 2.

@@ -18,16 +18,6 @@ let site_task_loss = Fault.register "branch_bound.task_loss"
 
 type branch_rule = Most_fractional | First_fractional
 
-(* A globally valid inequality [sum terms <= rhs], produced by a
-   separation callback against a fractional LP point. *)
-type cut = {
-  cut_name : string;
-  cut_terms : (float * int) list;
-  cut_rhs : float;
-}
-
-type cutter = float array -> cut list
-
 type params = {
   node_limit : int;
   time_limit : float;
@@ -40,8 +30,6 @@ type params = {
   jobs : int;
   deterministic : bool;
   ramp_nodes : int;
-  cut_rounds : int;
-  cuts_per_round : int;
   propagate : bool;
 }
 
@@ -58,8 +46,6 @@ let default_params =
     jobs = 1;
     deterministic = true;
     ramp_nodes = 32;
-    cut_rounds = 4;
-    cuts_per_round = 16;
     propagate = false;
   }
 
@@ -74,9 +60,6 @@ type domain_work = {
   d_pivots : int;
   d_shadow_pivots : int;
   d_numerical_recoveries : int;
-  d_cuts_added : int;
-  d_cuts_purged : int;
-  d_separation_time : float;
 }
 
 type outcome = {
@@ -90,9 +73,6 @@ type outcome = {
   pivots : int;
   shadow_pivots : int;
   numerical_recoveries : int;
-  cuts_added : int;
-  cuts_purged : int;
-  separation_time : float;
   tasks_lost : int;
   root_bound : float;
   elapsed : float;
@@ -134,11 +114,6 @@ type task = {
   t_depth : int;
   t_basis : Revised.snapshot option;
   t_bound : float;
-  t_cuts : Lp_problem.constr list;
-      (* cut rows active above the captured subtree (appended by
-         ancestors and still binding when the frontier was captured);
-         the replaying worker re-appends them so [t_basis] matches its
-         problem's row count *)
 }
 
 type search = {
@@ -149,11 +124,6 @@ type search = {
   partner : (int, int) Hashtbl.t; (* pair membership, symmetric *)
   is_integer : int -> bool;     (* integer-variable membership, for
                                    bound snapping during propagation *)
-  prop_rows : Lp_problem.constr array;
-                                (* valid rows outside the LP (the lazy cut
-                                   pool) that still join propagation *)
-  cutter : cutter option;       (* separation callback, None = no cuts *)
-  base_nrows : int;             (* rows the model owns; cut rows live above *)
   deadline : float;
   shared : shared option;       (* free-running mode only *)
   mutable node_budget : int;    (* this search stops at [nodes >= node_budget] *)
@@ -167,9 +137,6 @@ type search = {
   mutable pivots : int;
   mutable shadow_pivots : int;
   mutable numerical_recoveries : int;
-  mutable cuts_added : int;
-  mutable cuts_purged : int;
-  mutable separation_time : float;
       (* node LPs that needed a recovery path: a requested warm start
          that fell back to a cold solve, or an LP that hit its own
          iteration limit and was handled via the parent-bound retreat *)
@@ -294,114 +261,8 @@ let pseudo_point s =
       else if ub < infinity then ub -. 0.5
       else 0.5)
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-(* Slack threshold above which a node-local cut row is considered
-   inactive and purged (before the basis accumulates stale rows that
-   only make LU refactorization more expensive). *)
-let cut_purge_tol = 1e-7
-
-(* Cut rows currently active above the model's own rows — what a
-   captured frontier task must replay before using its basis snapshot. *)
-let captured_cuts s =
-  let n = Lp_problem.num_constrs s.prob in
-  List.init (n - s.base_nrows) (fun k ->
-      Lp_problem.constr_at s.prob (s.base_nrows + k))
-
-(* Cut rounds at one node: separate violated inequalities against the
-   relaxation point, append them, and re-solve warm — the appended rows'
-   logicals enter the basis ({!Revised.extend_snapshot}), so the dual
-   simplex repairs the violation from the current basis instead of a
-   cold solve.  Returns [None] when the cut-augmented LP is infeasible:
-   cuts are globally valid, so the subtree provably holds no integer
-   point.  On a numerical bail (unbounded / iteration limit) this
-   round's rows are dropped and the last clean relaxation stands.  Cut
-   re-solves accumulate [pivots]/[refactorizations] but are not node
-   LPs: [nodes = lp_solves] stays exact. *)
-let cut_rounds s x m basis =
-  match s.cutter with
-  | None -> Some (x, m, basis)
-  | Some separate ->
-    let rec loop x m basis round =
-      if round >= s.prm.cut_rounds then Some (x, m, basis)
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let violated = separate x in
-        s.separation_time <-
-          s.separation_time +. (Unix.gettimeofday () -. t0);
-        match take s.prm.cuts_per_round violated with
-        | [] -> Some (x, m, basis)
-        | cuts ->
-          let before = Lp_problem.num_constrs s.prob in
-          List.iter
-            (fun c ->
-              Lp_problem.add_constr s.prob ~name:c.cut_name c.cut_terms
-                Lp_problem.Le c.cut_rhs)
-            cuts;
-          let added = Lp_problem.num_constrs s.prob - before in
-          s.cuts_added <- s.cuts_added + added;
-          let snap = Revised.extend_snapshot basis ~added in
-          let result, (st : Revised.stats) = Revised.solve_from snap s.prob in
-          s.pivots <- s.pivots + st.primal_pivots + st.dual_pivots;
-          s.refactorizations <- s.refactorizations + st.refactorizations;
-          if not st.warm then
-            s.numerical_recoveries <- s.numerical_recoveries + 1;
-          (match result with
-          | Revised.Optimal { x; obj; basis } ->
-            let m =
-              s.sense_mult *. (obj +. Model.objective_constant s.model)
-            in
-            loop x m basis (round + 1)
-          | Revised.Infeasible -> None
-          | Revised.Unbounded | Revised.Iteration_limit ->
-            Lp_problem.truncate_constrs s.prob before;
-            Some (x, m, basis))
-      end
-    in
-    loop x m basis 0
-
-(* Purge this node's cut rows that are slack at the final relaxation
-   point, so children inherit only binding cuts.  Only possible when
-   every purged row's logical is basic ({!Revised.shrink_snapshot});
-   otherwise the rows are kept — correct either way, purging is purely
-   a basis-hygiene optimization. *)
-let purge_slack_cuts s ~entry_nrows x basis =
-  let n = Lp_problem.num_constrs s.prob in
-  if n <= entry_nrows then basis
-  else begin
-    let removed = ref [] in
-    for i = n - 1 downto entry_nrows do
-      let row = Lp_problem.constr_at s.prob i in
-      let lhs =
-        List.fold_left
-          (fun a (c, v) -> a +. (c *. x.(v)))
-          0. row.Lp_problem.terms
-      in
-      if
-        row.Lp_problem.cmp = Lp_problem.Le
-        && row.Lp_problem.rhs -. lhs > cut_purge_tol
-      then removed := i :: !removed
-    done;
-    match !removed with
-    | [] -> basis
-    | rs -> (
-      match Revised.shrink_snapshot basis ~removed_rows:rs with
-      | Some snap ->
-        Lp_problem.remove_constrs s.prob rs;
-        s.cuts_purged <- s.cuts_purged + List.length rs;
-        snap
-      | None -> basis)
-  end
-
-(* [trail] is the accumulated bound-setting path from the root, newest
-   first; it only matters while a capture hook is installed (parallel
-   ramp-up), where it lets a pending subtree be replayed on another
-   domain's copy of the problem. *)
-(* Node-entry bound propagation ([params.propagate], the Tight / Cuts
-   formulations): run the LP's interval sweep with integer snapping
+(* Node-entry bound propagation ([params.propagate], the Tight
+   formulation): run the LP's interval sweep with integer snapping
    under the branching fixings in force.  Two prunes need no LP at all —
    an emptied interval (the fixed relations are geometrically
    impossible) and an objective box bound already at the cutoff.  Both
@@ -419,8 +280,7 @@ let propagate_node s =
         undo
     in
     match
-      Lp_problem.propagate_bounds ~integral:s.is_integer ~extra:s.prop_rows
-        s.prob
+      Lp_problem.propagate_bounds ~integral:s.is_integer s.prob
     with
     | `Infeasible undo ->
       restore undo;
@@ -444,6 +304,10 @@ let propagate_node s =
               undo )
   end
 
+(* [trail] is the accumulated bound-setting path from the root, newest
+   first; it only matters while a capture hook is installed (parallel
+   ramp-up), where it lets a pending subtree be replayed on another
+   domain's copy of the problem. *)
 let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
   match s.capture with
   | Some push when s.nodes >= s.ramp_limit ->
@@ -453,7 +317,7 @@ let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
        visited the subtrees in. *)
     push
       { t_trail = List.rev trail; t_depth = depth; t_basis = parent_basis;
-        t_bound = parent_bound; t_cuts = captured_cuts s }
+        t_bound = parent_bound }
   | _ ->
     if budget_exhausted s then s.out_of_budget <- true
     else begin
@@ -475,22 +339,7 @@ let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
               (solve_node_lp s parent_basis))
     end
 
-(* Node expansion.  Cut rows appended here stay while the children run
-   (they are globally valid, and the children's basis snapshots expect
-   them) and are truncated when the node is left — strict stack
-   discipline, which is what keeps parallel replay deterministic: a
-   worker re-creates exactly the ancestors' rows from the task's
-   [t_cuts] and nothing else. *)
 and expand s ~depth ~trail ~parent_basis ~parent_bound result =
-  let entry_nrows = Lp_problem.num_constrs s.prob in
-  Fun.protect
-    ~finally:(fun () -> Lp_problem.truncate_constrs s.prob entry_nrows)
-    (fun () ->
-      expand_node s ~depth ~trail ~parent_basis ~parent_bound ~entry_nrows
-        result)
-
-and expand_node s ~depth ~trail ~parent_basis ~parent_bound ~entry_nrows
-    result =
   match result with
   | Revised.Infeasible -> ()
   | Revised.Iteration_limit ->
@@ -517,31 +366,21 @@ and expand_node s ~depth ~trail ~parent_basis ~parent_bound ~entry_nrows
     let m = s.sense_mult *. (obj +. Model.objective_constant s.model) in
     if m >= cutoff s -. s.prm.min_improvement then () (* bound prune *)
     else begin
-      match cut_rounds s x m basis with
-      | None -> () (* cut-augmented LP infeasible: subtree holds no
-                      integer point (cuts are globally valid) *)
-      | Some (x, m, basis) ->
-        if m >= cutoff s -. s.prm.min_improvement then
-          () (* bound prune after cut tightening — where cuts pay *)
-        else begin
-          match pick_branch_var s x with
-          | None ->
-            (* Integral (within tolerance): snap and accept. *)
-            let snapped = Model.round_integers s.model x in
-            let m_exact =
-              s.sense_mult
-              *. (Lp_problem.objective_value s.prob snapped
-                 +. Model.objective_constant s.model)
-            in
-            (* Rounding can only move the objective through integer terms;
-               re-check feasibility to be safe. *)
-            if Lp_problem.constraint_violation s.prob snapped <= 1e-5 then
-              update_incumbent s snapped m_exact
-            else update_incumbent s x m
-          | Some v ->
-            let basis = purge_slack_cuts s ~entry_nrows x basis in
-            branch s ~depth ~trail x v ~basis:(Some basis) ~bound:m
-        end
+      match pick_branch_var s x with
+      | None ->
+        (* Integral (within tolerance): snap and accept. *)
+        let snapped = Model.round_integers s.model x in
+        let m_exact =
+          s.sense_mult
+          *. (Lp_problem.objective_value s.prob snapped
+             +. Model.objective_constant s.model)
+        in
+        (* Rounding can only move the objective through integer terms;
+           re-check feasibility to be safe. *)
+        if Lp_problem.constraint_violation s.prob snapped <= 1e-5 then
+          update_incumbent s snapped m_exact
+        else update_incumbent s x m
+      | Some v -> branch s ~depth ~trail x v ~basis:(Some basis) ~bound:m
     end
 
 and branch s ~depth ~trail x v ~basis ~bound =
@@ -590,8 +429,6 @@ let work_of s =
     d_cold_solves = s.cold_solves; d_refactorizations = s.refactorizations;
     d_pivots = s.pivots; d_shadow_pivots = s.shadow_pivots;
     d_numerical_recoveries = s.numerical_recoveries;
-    d_cuts_added = s.cuts_added; d_cuts_purged = s.cuts_purged;
-    d_separation_time = s.separation_time;
   }
 
 let sum_work ws =
@@ -607,14 +444,10 @@ let sum_work ws =
         d_shadow_pivots = a.d_shadow_pivots + w.d_shadow_pivots;
         d_numerical_recoveries =
           a.d_numerical_recoveries + w.d_numerical_recoveries;
-        d_cuts_added = a.d_cuts_added + w.d_cuts_added;
-        d_cuts_purged = a.d_cuts_purged + w.d_cuts_purged;
-        d_separation_time = a.d_separation_time +. w.d_separation_time;
       })
     { d_nodes = 0; d_lp_solves = 0; d_warm_hits = 0; d_cold_solves = 0;
       d_refactorizations = 0; d_pivots = 0; d_shadow_pivots = 0;
-      d_numerical_recoveries = 0; d_cuts_added = 0; d_cuts_purged = 0;
-      d_separation_time = 0. }
+      d_numerical_recoveries = 0 }
     ws
 
 (* ------------------------------------------------------------------ *)
@@ -648,18 +481,8 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
   List.iter
     (fun (v, lb, ub) -> Lp_problem.set_bounds s.prob v ~lb ~ub)
     task.t_trail;
-  (* Re-create the ancestors' cut rows so the task's basis snapshot
-     matches this worker's problem; truncated again on the way out to
-     keep the worker at root rows for the next task. *)
-  let entry_nrows = Lp_problem.num_constrs s.prob in
-  List.iter
-    (fun (row : Lp_problem.constr) ->
-      Lp_problem.add_constr s.prob ~name:row.Lp_problem.cname
-        row.Lp_problem.terms row.Lp_problem.cmp row.Lp_problem.rhs)
-    task.t_cuts;
   Fun.protect
     ~finally:(fun () ->
-      Lp_problem.truncate_constrs s.prob entry_nrows;
       List.iter
         (fun (v, _, _) ->
           Lp_problem.set_bounds s.prob v ~lb:base_lb.(v) ~ub:base_ub.(v))
@@ -866,10 +689,8 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
   finish ~per_domain ~waves:!waves ~tasks_lost:!tasks_lost
     ~total:(sum_work per_domain)
 
-let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
-    model =
+let solve ?(params = default_params) ?warm ?pool model =
   let prob = Model.problem model in
-  let base_nrows = Lp_problem.num_constrs prob in
   let sense_mult =
     match Lp_problem.sense prob with
     | Lp_problem.Minimize -> 1.
@@ -898,29 +719,15 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     else None
   in
   let start = Unix.gettimeofday () in
-  (* The cut pool never joins the LP, but its rows are globally valid,
-     so node propagation may sweep them like any other row. *)
-  let prop_rows =
-    if not params.propagate then [||]
-    else
-      Array.of_list
-        (List.map
-           (fun c ->
-             { Lp_problem.cname = c.cut_name; terms = c.cut_terms;
-               cmp = Lp_problem.Le; rhs = c.cut_rhs })
-           cut_pool)
-  in
   let mk_search prob =
     {
-      model; prob; prm = params; sense_mult; partner; is_integer; prop_rows;
-      cutter; base_nrows;
+      model; prob; prm = params; sense_mult; partner; is_integer;
       deadline = start +. params.time_limit;
       shared; node_budget = params.node_limit; capture = None;
       ramp_limit = max_int;
       nodes = 0; lp_solves = 0;
       warm_hits = 0; cold_solves = 0; refactorizations = 0; pivots = 0;
       shadow_pivots = 0; numerical_recoveries = 0;
-      cuts_added = 0; cuts_purged = 0; separation_time = 0.;
       best_m = infinity; best_x = None;
       out_of_budget = false; root_unbounded = false; bound_incomplete = false;
     }
@@ -968,9 +775,7 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       warm_hits = total.d_warm_hits; cold_solves = total.d_cold_solves;
       refactorizations = total.d_refactorizations; pivots = total.d_pivots;
       shadow_pivots = total.d_shadow_pivots;
-      numerical_recoveries = total.d_numerical_recoveries;
-      cuts_added = total.d_cuts_added; cuts_purged = total.d_cuts_purged;
-      separation_time = total.d_separation_time; tasks_lost;
+      numerical_recoveries = total.d_numerical_recoveries; tasks_lost;
       root_bound; elapsed; per_domain; frontier_tasks = frontier; waves;
     }
   in
@@ -989,6 +794,8 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
     (* Root LP: solved exactly once, reused both for the reported root
        bound and as the root node of the search. *)
     let root_result = solve_node_lp s None in
+    s.nodes <- s.nodes + 1;
+    (match shared with Some sh -> Atomic.incr sh.sh_nodes | None -> ());
     let root_bound =
       match root_result with
       | Revised.Optimal { obj; _ } ->
@@ -996,24 +803,9 @@ let solve ?(params = default_params) ?warm ?pool ?cutter ?(cut_pool = [])
       | Revised.Unbounded | Revised.Iteration_limit -> neg_infinity
       | Revised.Infeasible -> infinity
     in
-    if root_bound = infinity && s.best_x = None then begin
-      let w = work_of s in
-      {
-        status = Infeasible; best = None; nodes = 0; lp_solves = s.lp_solves;
-        warm_hits = s.warm_hits; cold_solves = s.cold_solves;
-        refactorizations = s.refactorizations; pivots = s.pivots;
-        shadow_pivots = s.shadow_pivots;
-        numerical_recoveries = s.numerical_recoveries;
-        cuts_added = s.cuts_added; cuts_purged = s.cuts_purged;
-        separation_time = s.separation_time; tasks_lost = 0;
-        root_bound = nan;
-        elapsed = Unix.gettimeofday () -. start;
-        per_domain = [| w |]; frontier_tasks = 0; waves = 0;
-      }
-    end
+    if root_bound = infinity && s.best_x = None then
+      seq_finish ~root_bound:nan
     else begin
-      s.nodes <- s.nodes + 1;
-      (match shared with Some sh -> Atomic.incr sh.sh_nodes | None -> ());
       expand s ~depth:0 ~trail:[] ~parent_basis:None ~parent_bound:neg_infinity
         root_result;
       s.capture <- None;

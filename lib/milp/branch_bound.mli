@@ -52,26 +52,6 @@ type branch_rule =
           order — lets the modeler encode "decide the big modules first"
           by declaration order *)
 
-type cut = {
-  cut_name : string;
-  cut_terms : (float * int) list;
-  cut_rhs : float;
-}
-(** A globally valid inequality [cut_terms . x <= cut_rhs] over the
-    model's structural variables.  "Globally valid" is a proof
-    obligation on the producer: every integer-feasible point of the
-    {e whole} model must satisfy it, because a cut appended at a node
-    survives into the node's subtree and, via frontier tasks, onto
-    other domains. *)
-
-type cutter = float array -> cut list
-(** Separation callback: given the node's LP-relaxation point (structural
-    variables, dense), return violated valid inequalities, most violated
-    first.  Must be deterministic — a pure function of the point — or
-    parallel runs lose bit-identical replay.  Called up to [cut_rounds]
-    times per node; the solver appends at most [cuts_per_round] of the
-    returned rows per round. *)
-
 type params = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 200_000) *)
   time_limit : float;      (** seconds (default 120.) *)
@@ -103,11 +83,6 @@ type params = {
       (** nodes explored sequentially before the frontier is handed to
           the pool (default [32]).  Larger values seed more, smaller
           tasks; only meaningful when [jobs > 1]. *)
-  cut_rounds : int;
-      (** maximum separation rounds per node (default [4]).  Irrelevant
-          unless a [cutter] is passed to {!solve}. *)
-  cuts_per_round : int;
-      (** cap on rows appended per separation round (default [16]) *)
   propagate : bool;
       (** run {!Fp_lp.Lp_problem.propagate_bounds} (interval propagation
           with integer snapping) at every node before its LP (default
@@ -116,8 +91,8 @@ type params = {
           without counting as a node or solving an LP — on big-M
           disjunction models most infeasible branch combinations die
           here.  Propagated bounds ride the task trail, so parallel
-          replay stays bit-identical.  Enabled by the [Tight] / [Cuts]
-          formulation modes. *)
+          replay stays bit-identical.  Enabled by the [Tight]
+          formulation mode. *)
 }
 
 val default_params : params
@@ -139,9 +114,6 @@ type domain_work = {
   d_pivots : int;
   d_shadow_pivots : int;
   d_numerical_recoveries : int;
-  d_cuts_added : int;
-  d_cuts_purged : int;
-  d_separation_time : float;
 }
 (** Per-domain slice of the search-effort counters.  In deterministic
     mode this counts {e all} work a domain performed, including
@@ -155,8 +127,7 @@ type outcome = {
           included) *)
   nodes : int;
       (** nodes whose LP relaxation was evaluated; always equal to
-          [lp_solves] (cut-round re-solves are not node LPs and count
-          only toward [pivots] / [refactorizations]) *)
+          [lp_solves] *)
   lp_solves : int;
   warm_hits : int;
       (** node LPs answered from the parent basis (dual-simplex path) *)
@@ -175,14 +146,6 @@ type outcome = {
           an LP that hit its own iteration limit and was handled via the
           parent-bound retreat.  Nonzero values mean the answer is still
           trustworthy but the numerics were stressed. *)
-  cuts_added : int;
-      (** rows appended by separation rounds across all nodes ([0]
-          without a [cutter]) *)
-  cuts_purged : int;
-      (** appended rows removed again as slack before branching — cut
-          aging that keeps the LU factorization small *)
-  separation_time : float;
-      (** seconds spent inside the [cutter] callback *)
   tasks_lost : int;
       (** frontier-task results that vanished (worker failure or
           injected fault) and were re-run inline; [0] in healthy runs *)
@@ -202,28 +165,12 @@ type outcome = {
 }
 
 val solve :
-  ?params:params -> ?warm:float array -> ?pool:Fp_util.Pool.t ->
-  ?cutter:cutter -> ?cut_pool:cut list -> Model.t ->
+  ?params:params -> ?warm:float array -> ?pool:Fp_util.Pool.t -> Model.t ->
   outcome
-(** [solve model] runs the search.  [warm], when given, must be feasible
-    and integral (checked; silently ignored otherwise — a bad warm start
-    must never corrupt the search).
-
-    [cutter], when given, runs a cut-management loop at every node that
-    survives the bound prune: up to [cut_rounds] rounds of separation
-    against the relaxation point, each appending at most
-    [cuts_per_round] violated rows and re-solving warm from the current
-    basis (see {!Fp_lp.Revised.extend_snapshot}); rows left slack at the
-    final point are purged again before branching (cut aging), and the
-    survivors are inherited — and eventually truncated — under strict
-    stack discipline, so frontier tasks replay bit-identically on other
-    domains.
-
-    [cut_pool], when given together with [params.propagate], is a set of
-    globally valid inequalities that participate in node-entry interval
-    propagation {e without} ever being LP rows — the lazy pool's pruning
-    power at zero pricing cost.  Typically the same candidate list the
-    [cutter] separates from.
+(** [solve model] runs the search over the model's fixed row set; only
+    variable bounds change from node to node.  [warm], when given, must
+    be feasible and integral (checked; silently ignored otherwise — a
+    bad warm start must never corrupt the search).
 
     [pool], when given, supplies the worker domains for [jobs > 1] (and
     overrides [params.jobs] with its size); otherwise a private pool is

@@ -439,21 +439,19 @@ let test_assign_warm_rejects_overlap () =
 
 (* ------------------------ formulation modes ------------------------- *)
 
-(* Solve a built formulation the way production does: propagation and
-   the lazy pool ride the strengthened modes. *)
+(* Solve a built formulation the way production does: propagation
+   rides the strengthened mode. *)
 let solve_mode built =
   let params =
     { BB.default_params with
       BB.propagate = built.Formulation.formulation <> Formulation.Basic }
   in
-  BB.solve ~params
-    ?cutter:(Formulation.separator built)
-    ~cut_pool:built.Formulation.cut_candidates built.Formulation.model
+  BB.solve ~params built.Formulation.model
 
 let test_modes_agree_on_optimum =
-  (* Basic, tight and cuts are the same integer program in three
-     relaxations: on any instance they must all certify optimal and
-     agree on the optimal height. *)
+  (* Basic and tight are the same integer program in two relaxations:
+     on any instance both must certify optimal and agree on the optimal
+     height. *)
   QCheck.Test.make ~name:"formulation modes agree on the optimum" ~count:20
     QCheck.(list_of_size (Gen.return 3) (pair (int_range 1 4) (int_range 1 4)))
     (fun dims ->
@@ -475,10 +473,7 @@ let test_modes_agree_on_optimum =
         | { BB.status = BB.Optimal; best = Some (_, obj); _ } -> obj
         | _ -> QCheck.Test.fail_report "mode did not reach Optimal"
       in
-      let b = solve Formulation.Basic in
-      let t = solve Formulation.Tight in
-      let c = solve Formulation.Cuts in
-      Float.abs (b -. t) <= 1e-5 && Float.abs (b -. c) <= 1e-5)
+      Float.abs (solve Formulation.Basic -. solve Formulation.Tight) <= 1e-5)
 
 let test_per_pair_m_monotone () =
   (* Per-pair M starts at most at the direction cap and only shrinks
@@ -513,37 +508,6 @@ let test_per_pair_m_monotone () =
         (sr.Formulation.sr_m <= m0 +. 1e-9))
     before built.Formulation.sep_rows
 
-let test_cut_stack_restored () =
-  (* After a cuts-mode solve every appended cut row is truncated again
-     (stack discipline), and the optimum matches basic mode even when
-     the solve needed basis refactorizations along the way. *)
-  let items =
-    List.init 4 (fun i ->
-        Formulation.plain_item
-          (Module_def.rigid ~id:i ~name:(Printf.sprintf "m%d" i)
-             ~w:(float_of_int (1 + (i mod 3)))
-             ~h:(float_of_int (1 + ((i + 1) mod 3)))))
-  in
-  let built =
-    Formulation.build ~chip_width:5. ~height_bound:30.
-      ~formulation:Formulation.Cuts items
-  in
-  let prob = Fp_milp.Model.problem built.Formulation.model in
-  let rows_before = Fp_lp.Lp_problem.num_constrs prob in
-  let out = solve_mode built in
-  Alcotest.(check int) "cut rows truncated" rows_before
-    (Fp_lp.Lp_problem.num_constrs prob);
-  Alcotest.(check bool) "pool compiled" true
-    (built.Formulation.cut_candidates <> []);
-  let basic =
-    solve_mode
-      (Formulation.build ~chip_width:5. ~height_bound:30.
-         ~formulation:Formulation.Basic items)
-  in
-  match (out.BB.best, basic.BB.best) with
-  | Some (_, a), Some (_, b) -> checkf "same optimum as basic" b a
-  | _ -> Alcotest.fail "expected optima from both modes"
-
 let test_augment_modes_match_height () =
   (* End-to-end: the full augmentation flow reaches the same committed
      height whatever the formulation mode (same greedy decisions, since
@@ -558,13 +522,13 @@ let test_augment_modes_match_height () =
        nl)
       .Augment.placement.Placement.height
   in
-  let b = run Formulation.Basic in
-  checkf "tight height" b (run Formulation.Tight);
-  checkf "cuts height" b (run Formulation.Cuts)
+  checkf "tight height" (run Formulation.Basic) (run Formulation.Tight)
 
-let test_augment_cuts_jobs_deterministic () =
-  (* Parallel replay stays bit-identical in cuts mode: frontier tasks
-     carry propagated bounds and active cut rows. *)
+let test_augment_tight_jobs_deterministic () =
+  (* Parallel replay stays bit-identical in tight mode: frontier tasks
+     carry propagated bounds.  [ramp_nodes = 1] hands each step's tree
+     to the pool after its root node, so [jobs = 2] really runs the
+     frontier in parallel. *)
   let nl =
     Generator.generate
       { Generator.default_config with Generator.num_modules = 9; seed = 31 }
@@ -573,7 +537,9 @@ let test_augment_cuts_jobs_deterministic () =
     (Augment.run
        ~config:
          { Augment.default_config with
-           Augment.group_size = 3; jobs; formulation = Formulation.Cuts }
+           Augment.group_size = 3; jobs; formulation = Formulation.Tight;
+           milp =
+             { Augment.default_config.Augment.milp with BB.ramp_nodes = 1 } }
        nl)
       .Augment.placement
   in
@@ -1012,11 +978,10 @@ let () =
           QCheck_alcotest.to_alcotest test_modes_agree_on_optimum;
           Alcotest.test_case "per-pair M monotone" `Quick
             test_per_pair_m_monotone;
-          Alcotest.test_case "cut stack restored" `Quick test_cut_stack_restored;
           Alcotest.test_case "augment modes match height" `Slow
             test_augment_modes_match_height;
-          Alcotest.test_case "cuts jobs deterministic" `Slow
-            test_augment_cuts_jobs_deterministic;
+          Alcotest.test_case "tight jobs deterministic" `Slow
+            test_augment_tight_jobs_deterministic;
         ] );
       ( "warm_start",
         [

@@ -342,19 +342,6 @@ let test_propagate_detects_infeasible () =
     Alcotest.(check bool) "x recorded" true
       (List.exists (fun (v, _, _) -> v = x) undo))
 
-let test_propagate_extra_rows () =
-  (* The extra row is not part of the problem but still tightens. *)
-  let p = Lp.create () in
-  let x = Lp.add_var p ~lb:0. ~ub:10. "x" in
-  let extra =
-    [| { Lp.cname = "pool"; terms = [ (1., x) ]; cmp = Lp.Le; rhs = 3. } |]
-  in
-  (match Lp.propagate_bounds ~extra p with
-  | `Ok _ ->
-    checkf "x ub from pool row" 3. (Lp.var_ub p x);
-    Alcotest.(check int) "no row added" 0 (Lp.num_constrs p)
-  | `Infeasible _ -> Alcotest.fail "unexpected infeasible")
-
 let test_propagate_chains_rows () =
   (* x <= 2 (row), then y <= x + 1 must give y <= 3 on the next sweep. *)
   let p = Lp.create () in
@@ -395,7 +382,6 @@ let () =
           Alcotest.test_case "integral snap" `Quick test_propagate_integral_snap;
           Alcotest.test_case "detects infeasible" `Quick
             test_propagate_detects_infeasible;
-          Alcotest.test_case "extra rows" `Quick test_propagate_extra_rows;
           Alcotest.test_case "chains rows" `Quick test_propagate_chains_rows;
           Alcotest.test_case "objective interval" `Quick test_objective_interval;
         ] );

@@ -129,7 +129,12 @@ let test_infeasible_milp () =
   Model.add_constr m Expr.(var a + var b) Model.Ge (Expr.const 3.);
   let outcome = BB.solve m in
   Alcotest.(check bool) "infeasible" true (outcome.BB.status = BB.Infeasible);
-  Alcotest.(check bool) "no point" true (outcome.BB.best = None)
+  Alcotest.(check bool) "no point" true (outcome.BB.best = None);
+  (* The root LP is still a node: [nodes = lp_solves] holds here too. *)
+  Alcotest.(check int) "nodes = lp_solves" outcome.BB.lp_solves
+    outcome.BB.nodes;
+  let w = outcome.BB.per_domain.(0) in
+  Alcotest.(check int) "domain nodes = lp_solves" w.BB.d_lp_solves w.BB.d_nodes
 
 let test_unbounded_milp () =
   let m = Model.create () in
