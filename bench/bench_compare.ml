@@ -208,11 +208,7 @@ let row_metrics row =
 
 (* ------------------------------ main ------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let () =
   let history_path = ref "bench/history.jsonl" in
@@ -240,8 +236,7 @@ let () =
     Hashtbl.create 64
   in
   (if Sys.file_exists !history_path then
-     let ic = open_in !history_path in
-     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+     In_channel.with_open_text !history_path @@ fun ic ->
      try
         while true do
           let line = input_line ic in
@@ -322,17 +317,14 @@ let () =
         rows)
     fresh_files;
   if !record then begin
-    let oc =
-      open_out_gen [ Open_append; Open_creat ] 0o644 !history_path
-    in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 !history_path
+      (fun oc ->
         List.iter
           (fun l ->
             output_string oc l;
             output_char oc '\n')
-          (List.rev !fresh_lines));
+          (List.rev !fresh_lines);
+        flush oc);
     Printf.printf "recorded %d rows -> %s\n" (List.length !fresh_lines)
       !history_path
   end

@@ -116,10 +116,9 @@ let write_json exp fields =
     in
     Json.emit buf (Json.Obj (("experiment", Json.Str exp) :: fields));
     Buffer.add_char buf '\n';
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Buffer.contents buf));
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Buffer.contents buf);
+        flush oc);
     printf "JSON -> %s\n" path
   end
 
@@ -586,7 +585,7 @@ let ablation_warm_start () =
 
 let ablation_parallel () =
   hr "Ablation -- domain-parallel branch-and-bound (scaling)";
-  printf "(deterministic mode: every jobs count must reproduce the jobs=1\n";
+  printf "(parallel replay: every jobs count must reproduce the jobs=1\n";
   printf " floorplan bit-for-bit; speedup saturates at the machine's core\n";
   printf " count — %d on this host)\n\n"
     (Domain.recommended_domain_count ());

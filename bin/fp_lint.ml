@@ -1,8 +1,8 @@
 (* Source-invariant linter driver.
 
    Tree mode (no FILES): lint lib/, bin/, bench/ and examples/ under
-   --root (syntactic rules + the interprocedural SA010-SA012 and the
-   typestate SA013-SA017 over the whole-tree call graph), subtract the
+   --root (syntactic rules + the interprocedural SA010-SA012 over the
+   whole-tree call graph), subtract the
    justification-annotated baseline, and exit non-zero when anything is
    left:
 
@@ -26,7 +26,6 @@
 
      --effects        print per-function effect summaries for lib/
                       (committed as docs/effects-summary.md, CI-diffed)
-     --typestate      print per-function protocol summaries for lib/
      --callgraph-dot  print the module-qualified call graph as Graphviz
 
    --sarif FILE additionally writes the findings as SARIF 2.1 (baseline
@@ -46,7 +45,6 @@ let () =
   let role = ref "lib" in
   let list_rules = ref false in
   let effects = ref false in
-  let typestate = ref false in
   let callgraph_dot = ref false in
   let verbose = ref false in
   let sarif = ref "" in
@@ -69,10 +67,6 @@ let () =
       ( "--effects",
         Arg.Set effects,
         " print the inferred per-function effect summaries (lib/) and exit" );
-      ( "--typestate",
-        Arg.Set typestate,
-        " print the inferred per-function protocol summaries (lib/) and \
-         exit" );
       ( "--callgraph-dot",
         Arg.Set callgraph_dot,
         " print the whole-tree call graph as Graphviz dot and exit" );
@@ -96,23 +90,24 @@ let () =
   end;
   let die code fmt = Printf.ksprintf (fun m -> prerr_endline m; exit code) fmt in
   let clock = Unix.gettimeofday in
-  if !effects || !typestate || !callgraph_dot then begin
+  if !effects || !callgraph_dot then begin
     let corpus = Lint.Driver.load_corpus ~clock ~root:!root () in
     if !effects then
       print_string (Lint.Driver.effects_report ~corpus ~root:!root ());
-    if !typestate then
-      print_string (Lint.Driver.typestate_report ~corpus ~root:!root ());
     if !callgraph_dot then
       print_string (Lint.Driver.callgraph_dot ~corpus ~root:!root ());
     exit 0
   end;
+  (* Flush inside the bracket: with_open's close discards the error of a
+     write that only fails at close (a full disk). *)
+  let write_file path text =
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc text;
+        flush oc)
+  in
   let write_sarif ?(baseline = []) findings =
-    if !sarif <> "" then begin
-      let oc = open_out !sarif in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Lint.Sarif.render ~baseline findings))
-    end
+    if !sarif <> "" then
+      write_file !sarif (Lint.Sarif.render ~baseline findings)
   in
   match List.rev !files with
   | _ :: _ as files ->
@@ -135,9 +130,8 @@ let () =
         else if Sys.is_directory f then
           die 2 "fp_lint: %s: is a directory (file mode wants .ml files)" f
         else
-          match open_in_bin f with
-          | ic -> close_in_noerr ic
-          | exception Sys_error m -> die 2 "fp_lint: %s: unreadable: %s" f m)
+          try In_channel.with_open_bin f ignore
+          with Sys_error m -> die 2 "fp_lint: %s: unreadable: %s" f m)
       files;
     let findings =
       List.sort_uniq Lint.Finding.compare
@@ -171,10 +165,7 @@ let () =
         *. 1000.)
     end;
     if !update then begin
-      let oc = open_out baseline_path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Lint.Baseline.render findings));
+      write_file baseline_path (Lint.Baseline.render findings);
       Printf.printf "fp_lint: wrote %d entr%s to %s\n"
         (List.length findings)
         (if List.length findings = 1 then "y" else "ies")

@@ -169,7 +169,8 @@ let config_digest cfg =
     | Branch_bound.Most_fractional -> "mf"
     | Branch_bound.First_fractional -> "ff")
     m.Branch_bound.warm_lp m.Branch_bound.shadow_cold
-    m.Branch_bound.deterministic;
+    (* the removed [deterministic] flag, kept so older journals resume *)
+    true;
   p "cand:%d;" cfg.candidates;
   (match cfg.run_time_limit with
   | None -> p "deadline:none;"

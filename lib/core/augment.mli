@@ -161,8 +161,7 @@ type config = {
           with [candidates = 1] it parallelizes each step's MILP search
           (see {!Fp_milp.Branch_bound}); with [candidates > 1] it
           evaluates candidate groups concurrently, one per domain.  The
-          result is identical for every [jobs] value as long as
-          [milp.deterministic] is on (the default). *)
+          result is identical for every [jobs] value. *)
   candidates : int;
       (** candidate next groups evaluated per step (default [1]).  The
           first [candidates] groups of the remaining ordering are each

@@ -38,10 +38,7 @@ let write ~path t =
     t.remaining;
   line "end";
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Out_channel.with_open_text tmp (fun oc ->
       output_string oc (Buffer.contents buf);
       flush oc);
   Sys.rename tmp path
@@ -60,10 +57,7 @@ let read ~path =
     | None -> fail "journal: bad integer in %s: %S" name s
   in
   match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
+    In_channel.with_open_text path (fun ic ->
         let lines = ref [] in
         (try
            while true do

@@ -46,8 +46,8 @@ val default_scenario : scenario
 
 type context = {
   rng : Fp_util.Rng.t;
-      (** the engine's private stream — callers derive one per engine
-          with {!Fp_util.Rng.split} so racing engines never share *)
+      (** the engine's private stream — callers create one per engine
+          from the scenario seed so racing engines never share *)
   pool : Fp_util.Pool.t option;
       (** shared worker pool, if the caller lends one.  An engine must
           not shut it down, and must not use it from inside another

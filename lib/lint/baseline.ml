@@ -86,12 +86,7 @@ let load path =
           must exist as an empty file; check --baseline/--root)"
          path)
   else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error m -> Error (path ^ ": unreadable baseline: " ^ m)
     | text -> parse ~path text
 

@@ -1,11 +1,7 @@
 let default_context =
   { Rules.known_sites = List.map fst Fp_util.Fault.builtin }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_file path =
   match read_file path with
@@ -38,14 +34,13 @@ let ml_files root =
   List.sort String.compare !found
 
 (* The shared corpus: every source file parsed exactly once, with the
-   call graph and both summary fixpoints built over those same parses.
-   Each consumer — syntactic rules, Interproc, Typestate, the report
-   modes — reads from here instead of re-walking the tree. *)
+   call graph and the effect fixpoint built over those same parses.
+   Each consumer — syntactic rules, Interproc, the report modes — reads
+   from here instead of re-walking the tree. *)
 type corpus = {
   parses : (string * (Parsetree.structure, string) result) list;
   cg : Callgraph.t;
   effects : Effects.summaries;
-  typestate : Typestate.t;
   timings : (string * float) list;  (* pass name, seconds, in run order *)
 }
 
@@ -75,8 +70,7 @@ let load_corpus ?(clock = fun () -> 0.) ~root () =
              parses))
   in
   let effects = timed "effects-infer" (fun () -> Effects.infer cg) in
-  let typestate = timed "typestate-infer" (fun () -> Typestate.infer cg) in
-  { parses; cg; effects; typestate; timings = List.rev !timings }
+  { parses; cg; effects; timings = List.rev !timings }
 
 let check_one ~ctx ~corpus rel str =
   let role = Rules.role_of_path rel in
@@ -86,11 +80,7 @@ let check_one ~ctx ~corpus rel str =
     List.filter gate
       (Interproc.check ~cg:corpus.cg ~summaries:corpus.effects ~file:rel)
   in
-  let typestate =
-    List.filter gate
-      (Typestate.check ~cg:corpus.cg ~t:corpus.typestate ~file:rel)
-  in
-  syntactic @ interproc @ typestate
+  syntactic @ interproc
 
 let lint_file ?(ctx = default_context) ?role ~root rel =
   let role = match role with Some r -> r | None -> Rules.role_of_path rel in
@@ -101,14 +91,12 @@ let lint_file ?(ctx = default_context) ?role ~root rel =
   | Ok str ->
     let cg = Callgraph.of_sources [ (rel, str) ] in
     let summaries = Effects.infer cg in
-    let ts = Typestate.infer cg in
     let gate (f : Finding.t) = Rules.applies f.rule ~role ~path:rel in
     let syntactic = Rules.check_structure ~ctx ~path:rel ~role str in
     let interproc =
       List.filter gate (Interproc.check ~cg ~summaries ~file:rel)
     in
-    let typestate = List.filter gate (Typestate.check ~cg ~t:ts ~file:rel) in
-    Finding.dedupe (syntactic @ interproc @ typestate)
+    Finding.dedupe (syntactic @ interproc)
 
 let docs_robustness = "docs/robustness.md"
 
@@ -189,10 +177,6 @@ let lint_tree ?(ctx = default_context) ?corpus ~root () =
 let effects_report ?corpus ~root () =
   let c = match corpus with Some c -> c | None -> load_corpus ~root () in
   Effects.report c.cg c.effects
-
-let typestate_report ?corpus ~root () =
-  let c = match corpus with Some c -> c | None -> load_corpus ~root () in
-  Typestate.report c.cg c.typestate
 
 let callgraph_dot ?corpus ~root () =
   let c = match corpus with Some c -> c | None -> load_corpus ~root () in

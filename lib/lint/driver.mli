@@ -1,8 +1,8 @@
 (** Repository walker: parse every implementation file once into a
     shared {!type-corpus}, run the syntactic rules ({!Rules}), build the
-    call graph and both summary fixpoints ({!Effects}, {!Typestate})
-    over the same parses, run the interprocedural and typestate rules,
-    and add the global SA007 cross-checks.
+    call graph and the effect fixpoint ({!Effects}) over the same
+    parses, run the interprocedural rules, and add the global SA007
+    cross-checks.
 
     The driver is what [bin/fp_lint] and the [@lint] alias call; the
     corpus tests call {!lint_file} directly on fixture files with a
@@ -20,11 +20,10 @@ type corpus = {
   parses : (string * (Parsetree.structure, string) result) list;
   cg : Callgraph.t;
   effects : Effects.summaries;
-  typestate : Typestate.t;
   timings : (string * float) list;
       (** per-pass wall-clock seconds ([parse], [callgraph],
-          [effects-infer], [typestate-infer]), in run order; all zero
-          unless a [clock] was injected *)
+          [effects-infer]), in run order; all zero unless a [clock] was
+          injected *)
 }
 (** Everything derived from one walk of the tree.  Build it once with
     {!load_corpus} and pass it to {!lint_tree} and the report modes —
@@ -47,8 +46,8 @@ val lint_file :
 (** Lint a single file.  The second argument is the path relative to
     [root] (also the path findings carry).  [role] defaults to
     {!Rules.role_of_path}; an unparseable file yields one [SA000]
-    finding.  The interprocedural and typestate rules run over a
-    single-file call graph, so cross-file taint is invisible here —
+    finding.  The interprocedural rules run over a single-file call
+    graph, so cross-file taint is invisible here —
     that is tree mode's job — but same-file helper chains still
     resolve.  Findings come back deduplicated and sorted
     ({!Finding.dedupe}). *)
@@ -56,8 +55,8 @@ val lint_file :
 val lint_tree :
   ?ctx:Rules.context -> ?corpus:corpus -> root:string -> unit ->
   Finding.t list
-(** Lint the whole tree: every file (syntactic + interprocedural +
-    typestate over the whole-tree call graph) plus the global SA007
+(** Lint the whole tree: every file (syntactic + interprocedural over
+    the whole-tree call graph) plus the global SA007
     checks — every [Fault.register] literal must be in the canonical
     catalogue, every catalogue site must be registered somewhere in
     the tree, and [docs/robustness.md] must document every catalogue
@@ -68,10 +67,6 @@ val lint_tree :
 
 val effects_report : ?corpus:corpus -> root:string -> unit -> string
 (** The [--effects] artifact: {!Effects.report} over the whole tree. *)
-
-val typestate_report : ?corpus:corpus -> root:string -> unit -> string
-(** The [--typestate] artifact: {!Typestate.report} over the whole
-    tree. *)
 
 val callgraph_dot : ?corpus:corpus -> root:string -> unit -> string
 (** The [--callgraph-dot] artifact: {!Callgraph.to_dot} over the whole

@@ -136,7 +136,7 @@ let prim_effect p =
   | [ "Domain"; "spawn" ] -> Some Spawn
   | _ -> (
     match last2 p with
-    | Some ("Pool", ("create" | "spawn")) -> Some Spawn
+    | Some ("Pool", "with_pool") -> Some Spawn
     | Some ("Fault", "trip") -> Some Raises_injected
     | _ -> None)
 

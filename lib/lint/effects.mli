@@ -15,7 +15,7 @@ type eff =
   | Clock          (** wall clock: [Unix.gettimeofday]/[time], [Sys.time] *)
   | Io             (** console/channel I/O *)
   | Mutation       (** mutates module-level (non-local, non-parameter) state *)
-  | Spawn          (** [Domain.spawn] / [Pool.create] *)
+  | Spawn          (** [Domain.spawn] / [Pool.with_pool] *)
   | Raises_abort   (** can raise [Abort] ([raise] of the constructor) *)
   | Raises_injected(** can raise [Injected] (incl. [Fault.trip]) *)
   | Catches_all    (** contains a swallowing catch-all

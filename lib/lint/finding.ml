@@ -11,15 +11,12 @@ type rule =
   | SA010
   | SA011
   | SA012
-  | SA013
   | SA014
-  | SA015
-  | SA016
   | SA017
 
 let all_rules =
   [ SA001; SA002; SA003; SA004; SA005; SA006; SA007; SA008; SA010; SA011;
-    SA012; SA013; SA014; SA015; SA016; SA017 ]
+    SA012; SA014; SA017 ]
 
 let rule_name = function
   | SA000 -> "SA000"
@@ -34,10 +31,7 @@ let rule_name = function
   | SA010 -> "SA010"
   | SA011 -> "SA011"
   | SA012 -> "SA012"
-  | SA013 -> "SA013"
   | SA014 -> "SA014"
-  | SA015 -> "SA015"
-  | SA016 -> "SA016"
   | SA017 -> "SA017"
 
 let rule_of_string s =
@@ -54,10 +48,7 @@ let rule_of_string s =
   | "SA010" -> Some SA010
   | "SA011" -> Some SA011
   | "SA012" -> Some SA012
-  | "SA013" -> Some SA013
   | "SA014" -> Some SA014
-  | "SA015" -> Some SA015
-  | "SA016" -> Some SA016
   | "SA017" -> Some SA017
   | _ -> None
 
@@ -95,23 +86,10 @@ let rule_doc = function
      callee mutates it), the worker id escapes into captured state that \
      is not an eager per-worker copy, or the task transitively mutates \
      module-level state"
-  | SA013 ->
-    "pool lifecycle protocol violation: use after Pool.shutdown, double \
-     shutdown, a created pool not shut down on every path, or a shutdown \
-     an exception can skip (wrap in Fun.protect)"
   | SA014 ->
-    "channel/journal lifecycle protocol violation: write or read after \
-     close, double close, a channel not closed on every path, a close an \
-     exception can skip, or a journal checkpoint written without the \
-     atomic tmp+rename path"
-  | SA015 ->
-    "commit-like sink (Journal.write, commit_*, update_incumbent) reached \
-     inside a pool task with no Abort.check/is_set poll on the path — \
-     aborted tasks must stop before publishing"
-  | SA016 ->
-    "RNG stream discipline: a parent Rng.t is sampled after split/split_n \
-     derived children from it — the parent advanced, replay silently \
-     diverges"
+    "raw channel open (open_in*, open_out*, In_channel.open_*, \
+     Out_channel.open_*) — open through In_channel.with_open_* / \
+     Out_channel.with_open_*, which close the channel on every exit"
   | SA017 ->
     "read-modify-write on an Atomic.t as separate get/set — racy between \
      domains; use compare_and_set, fetch_and_add or exchange"
@@ -129,10 +107,7 @@ let rule_index = function
   | SA010 -> 10
   | SA011 -> 11
   | SA012 -> 12
-  | SA013 -> 13
   | SA014 -> 14
-  | SA015 -> 15
-  | SA016 -> 16
   | SA017 -> 17
 
 type t = { file : string; line : int; rule : rule; msg : string }

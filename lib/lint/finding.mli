@@ -8,9 +8,9 @@
     library certifies the {e source} that produces them.  SA001–SA008
     are syntactic per-file rules ({!Rules}); SA010–SA012 are
     interprocedural, grounded on the {!Callgraph} and the {!Effects}
-    fixpoint ({!Interproc}); SA013–SA017 are typestate/protocol rules
-    over declared DFAs ({!Typestate}).  The full catalogue with
-    examples lives in [docs/static-analysis.md]. *)
+    fixpoint ({!Interproc}); SA014 and SA017 are per-file protocol
+    rules ({!Rules}); SA013, SA015 and SA016 are retired.  The full
+    catalogue with examples lives in [docs/static-analysis.md]. *)
 
 type rule =
   | SA000  (** the file could not be parsed — always fatal, never baselined *)
@@ -33,15 +33,9 @@ type rule =
   | SA012  (** captured mutable state escapes into a pool task through
                helpers (worker-id escape, mutated-parameter flow, or
                transitive module-state mutation) *)
-  | SA013  (** pool lifecycle typestate: use-after-shutdown, double
-               shutdown, missing or exception-skippable shutdown *)
-  | SA014  (** channel/journal lifecycle typestate: write-after-close,
-               double close, missing or exception-skippable close,
-               checkpoint bypassing the atomic tmp+rename path *)
-  | SA015  (** commit-like sink inside a pool task not dominated by an
-               [Abort.check]/[Abort.is_set] poll *)
-  | SA016  (** a parent [Rng.t] sampled after [split]/[split_n] derived
-               children from it (silent replay divergence) *)
+  | SA014  (** a raw channel open instead of the
+               [In_channel.with_open_*]/[Out_channel.with_open_*]
+               brackets *)
   | SA017  (** read-modify-write on an [Atomic.t] as separate
                [get]/[set] instead of a CAS/[fetch_and_add] loop *)
 

@@ -10,17 +10,6 @@
     body is the syntactic rules' finding.  Role gating is the caller's
     job ({!Driver} filters through {!Rules.applies}). *)
 
-val arg_expr_for :
-  (Asttypes.arg_label * string option) list ->
-  (Asttypes.arg_label * Parsetree.expression) list ->
-  int ->
-  Parsetree.expression option
-(** The argument expression supplying parameter [j] of a definition
-    with the given parameter list: labelled arguments match by label,
-    unlabelled ones positionally among the unlabelled.  Shared with
-    {!Typestate}, which uses it to map tracked values at a call site
-    onto the callee's per-parameter protocol summaries. *)
-
 val check :
   cg:Callgraph.t ->
   summaries:Effects.summaries ->

@@ -35,15 +35,9 @@ let applies rule ~role ~path =
   | SA010 -> role = Lib
   | SA011 -> true
   | SA012 -> true
-  (* Protocol violations (lifecycles, abort ordering, Atomic RMW) are
-     wrong wherever the resource lives — CLI and bench code leaks
-     channels and races atomics just as well as lib/ does.  The one
-     exemption mirrors SA002: rng.ml itself implements split, so the
-     parent-advances property SA016 polices is its own definition. *)
-  | SA013 -> true
+  (* CLI and bench code leaks channels and races atomics just as well
+     as lib/ does. *)
   | SA014 -> true
-  | SA015 -> true
-  | SA016 -> path <> "lib/util/rng.ml"
   | SA017 -> true
 
 (* ------------------------------------------------------------------ *)
@@ -114,6 +108,146 @@ let sa004_ident = function
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* SA014: raw channel opens                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every channel opens through a Stdlib [with_open_*] bracket, which
+   closes it on every exit; a raw open leaves the close to the caller. *)
+let sa014_ident = function
+  | [ ( "open_in" | "open_in_bin" | "open_in_gen" | "open_out"
+      | "open_out_bin" | "open_out_gen" ) ]
+  | [ ("In_channel" | "Out_channel"); ("open_text" | "open_bin" | "open_gen") ]
+    ->
+    true
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* SA017: Atomic read-modify-write as separate get/set                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Render the target of an Atomic op as a stable key: [x], [d.bottom],
+   [sh.sh_best].  [None] for computed targets. *)
+let rec atomic_key e =
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> Some (String.concat "." (norm (flatten txt)))
+  | Pexp_field (e', { txt; _ }) -> (
+    match (atomic_key e', List.rev (flatten txt)) with
+    | Some base, fld :: _ -> Some (base ^ "." ^ fld)
+    | _ -> None)
+  | Pexp_constraint (e', _) -> atomic_key e'
+  | _ -> None
+
+(* Atomic.get applications inside [e], as (key, line). *)
+let atomic_gets e =
+  let acc = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self ex ->
+          (match ex.pexp_desc with
+          | Pexp_apply (f, (_, tgt) :: _) -> (
+            match ident_path f with
+            | Some [ "Atomic"; "get" ] -> (
+              match atomic_key tgt with
+              | Some k -> acc := (k, line_of ex.pexp_loc) :: !acc
+              | None -> ())
+            | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self ex);
+    }
+  in
+  it.expr it e;
+  !acc
+
+(* One definition body: [Atomic.set a e] where [e] reads [a] inline, or
+   through a let-bound carrier of [Atomic.get a] that no
+   [compare_and_set] on [a] consumes.  Flow-insensitive: a name bound
+   twice keeps its last binding. *)
+let check_atomic_rmw ~emit body =
+  let carriers : (string, string * int) Hashtbl.t = Hashtbl.create 4 in
+  let discharged : (string * string, unit) Hashtbl.t = Hashtbl.create 4 in
+  let sets = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self ex ->
+          (match ex.pexp_desc with
+          | Pexp_let (_, vbs, _) ->
+            List.iter
+              (fun vb ->
+                match pat_vars [] vb.pvb_pat with
+                | [ n ] -> (
+                  match atomic_gets vb.pvb_expr with
+                  | (k, l) :: _ -> Hashtbl.replace carriers n (k, l)
+                  | [] -> ())
+                | _ -> ())
+              vbs
+          | Pexp_apply (f, args) -> (
+            match (ident_path f, args) with
+            | Some [ "Atomic"; "compare_and_set" ], (_, tgt) :: (_, old) :: _
+              -> (
+              match atomic_key tgt with
+              | Some k ->
+                Hashtbl.iter
+                  (fun v (k', _) ->
+                    if k' = k && mentions_name v old then
+                      Hashtbl.replace discharged (v, k) ())
+                  carriers
+              | None -> ())
+            | Some [ "Atomic"; "set" ], (_, tgt) :: (_, v) :: _ -> (
+              match atomic_key tgt with
+              | Some k -> sets := (k, v, line_of ex.pexp_loc) :: !sets
+              | None -> ())
+            | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self ex);
+    }
+  in
+  it.expr it body;
+  List.iter
+    (fun (k, v, line) ->
+      match List.find_opt (fun (k', _) -> k' = k) (atomic_gets v) with
+      | Some (_, gl) ->
+        emit line
+          (Printf.sprintf
+             "read-modify-write on Atomic %s as separate get/set — racy \
+              between domains; use compare_and_set/fetch_and_add — \
+              protocol trace: Atomic.get:%d -> Atomic.set:%d"
+             k gl line)
+      | None -> (
+        let racy (var, (k', _)) =
+          k' = k
+          && mentions_name var v
+          && not (Hashtbl.mem discharged (var, k))
+        in
+        match Seq.find racy (Hashtbl.to_seq carriers) with
+        | Some (var, (_, gl)) ->
+          emit line
+            (Printf.sprintf
+               "read-modify-write on Atomic %s as separate get/set \
+                (read bound to %s) — racy between domains; use \
+                compare_and_set/fetch_and_add — protocol trace: \
+                Atomic.get:%d -> Atomic.set:%d"
+               k var gl line)
+        | None -> ()))
+    (List.rev !sets)
+
+(* Every value binding's body, descending into nested module
+   structures. *)
+let rec binding_bodies str =
+  List.concat_map
+    (fun item ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) -> List.map (fun vb -> vb.pvb_expr) vbs
+      | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ }
+        ->
+        binding_bodies sub
+      | _ -> [])
+    str
+
+(* ------------------------------------------------------------------ *)
 (* SA005: direct mutation inside Pool closures                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -131,16 +265,25 @@ let fault_meths = [ "register"; "fire"; "trip"; "spec"; "arm"; "disarm" ]
 
 let check_structure ~ctx ~path ~role str =
   let out = ref [] in
-  let emit rule loc msg =
+  let emit_at rule line msg =
     if applies rule ~role ~path then
-      out := Finding.v ~file:path ~line:(line_of loc) rule msg :: !out
+      out := Finding.v ~file:path ~line rule msg :: !out
   in
+  let emit rule loc msg = emit_at rule (line_of loc) msg in
   let on_ident loc p =
     (match p with
     | "Random" :: _ ->
       emit SA002 loc "Stdlib.Random — all randomness must go through \
-                      Fp_util.Rng (explicit seeds, split_n per domain)"
+                      Fp_util.Rng (explicit seeds, one generator per \
+                      domain)"
     | _ -> ());
+    if sa014_ident p then
+      emit SA014 loc
+        (Printf.sprintf
+           "%s opens a raw channel — use In_channel.with_open_* / \
+            Out_channel.with_open_*, which close it on every exit (flush \
+            a writer inside the bracket so write errors surface)"
+           (String.concat "." p));
     if sa003_ident p then
       emit SA003 loc
         (Printf.sprintf
@@ -224,6 +367,7 @@ let check_structure ~ctx ~path ~role str =
     }
   in
   it.structure it str;
+  List.iter (check_atomic_rmw ~emit:(emit_at SA017)) (binding_bodies str);
   List.sort_uniq Finding.compare !out
 
 let registered_sites str =

@@ -4,8 +4,12 @@
     The rules here are {e syntactic} — they run on the Parsetree,
     before any typing — so each is a conservative approximation of the
     semantic invariant it guards, documented per rule in
-    [docs/static-analysis.md].  The interprocedural rules (SA010–SA012)
-    live in {!Interproc}, on top of {!Callgraph} and {!Effects}.
+    [docs/static-analysis.md].  That includes the two protocol rules:
+    SA014 (channels open only through the Stdlib [with_open_*]
+    brackets) and SA017 (no [Atomic] read-modify-write as a separate
+    [get]/[set], checked per definition).  The interprocedural rules
+    (SA010–SA012) live in {!Interproc}, on top of {!Callgraph} and
+    {!Effects}.
     Known-intentional violations are carried by the
     justification-annotated baseline ({!Baseline}), not by loosening
     the rules. *)
@@ -31,7 +35,8 @@ val applies : Finding.rule -> role:role -> path:string -> bool
     sanctioned-file exemptions: SA001/SA003/SA004/SA006/SA010 are
     [Lib]-only (with [lib/geometry/tol.ml], [lib/core/augment.ml] and
     [lib/core/degradation.ml] carved out of their respective rules);
-    SA002/SA005/SA007/SA008/SA011/SA012 apply to every role.  The
+    SA002/SA005/SA007/SA008/SA011/SA012/SA014/SA017 apply to every
+    role.  The
     {!Interproc} findings are filtered through this same table by the
     driver. *)
 

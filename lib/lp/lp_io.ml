@@ -72,7 +72,6 @@ let to_lp_format prob =
 let output oc prob = output_string oc (to_lp_format prob)
 
 let save path prob =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output oc prob)
+  Out_channel.with_open_text path (fun oc ->
+      output oc prob;
+      flush oc)

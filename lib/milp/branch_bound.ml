@@ -28,7 +28,6 @@ type params = {
   warm_lp : bool;
   shadow_cold : bool;
   jobs : int;
-  deterministic : bool;
   ramp_nodes : int;
   propagate : bool;
 }
@@ -44,7 +43,6 @@ let default_params =
     warm_lp = true;
     shadow_cold = false;
     jobs = 1;
-    deterministic = true;
     ramp_nodes = 32;
     propagate = false;
   }
@@ -81,29 +79,6 @@ type outcome = {
   waves : int;
 }
 
-(* Incumbent shared across domains in free-running mode.  The atomic
-   holds the minimized-form objective; the witness point sits behind a
-   mutex because it is updated rarely and read once at the end. *)
-type shared = {
-  sh_best : float Atomic.t;
-  sh_lock : Mutex.t;
-  mutable sh_x : (float array * float) option;
-  sh_nodes : int Atomic.t;  (* global node count toward [node_limit] *)
-}
-
-let rec publish_shared sh x m =
-  let cur = Atomic.get sh.sh_best in
-  if m < cur then begin
-    if Atomic.compare_and_set sh.sh_best cur m then begin
-      Mutex.lock sh.sh_lock;
-      (match sh.sh_x with
-      | Some (_, m') when m' <= m -> ()
-      | _ -> sh.sh_x <- Some (Array.copy x, m));
-      Mutex.unlock sh.sh_lock
-    end
-    else publish_shared sh x m
-  end
-
 (* A subtree handed to the pool: the accumulated variable-bound settings
    from the root (absolute values, root-first, later entries override
    earlier ones for the same variable), plus the parent's LP bound and
@@ -125,7 +100,6 @@ type search = {
   is_integer : int -> bool;     (* integer-variable membership, for
                                    bound snapping during propagation *)
   deadline : float;
-  shared : shared option;       (* free-running mode only *)
   mutable node_budget : int;    (* this search stops at [nodes >= node_budget] *)
   mutable capture : (task -> unit) option;
   mutable ramp_limit : int;     (* capture instead of exploring beyond this *)
@@ -172,21 +146,10 @@ let pick_branch_var s x =
       (fun v -> fractionality x v > s.prm.int_tol)
       (Model.integer_vars s.model)
 
-(* The pruning bound: the local incumbent, sharpened by the cross-domain
-   incumbent in free-running mode.  Sequential and deterministic
-   searches have [shared = None], where this is exactly [best_m]. *)
-let cutoff s =
-  match s.shared with
-  | None -> s.best_m
-  | Some sh -> Float.min s.best_m (Atomic.get sh.sh_best)
-
 let update_incumbent s x m =
-  if m < cutoff s -. s.prm.min_improvement then begin
+  if m < s.best_m -. s.prm.min_improvement then begin
     s.best_m <- m;
     s.best_x <- Some (Array.copy x);
-    (match s.shared with
-    | Some sh -> publish_shared sh x m
-    | None -> ());
     if s.prm.log then
       Log.info (fun f ->
           f "incumbent %.6g after %d nodes" (s.sense_mult *. m) s.nodes)
@@ -209,9 +172,6 @@ let with_bounds s settings k =
 
 let budget_exhausted s =
   s.nodes >= s.node_budget
-  || (match s.shared with
-     | Some sh -> Atomic.get sh.sh_nodes >= s.prm.node_limit
-     | None -> false)
   || Unix.gettimeofday () > s.deadline
   || Fault.fire site_budget
 
@@ -291,7 +251,7 @@ let propagate_node s =
         (if s.sense_mult > 0. then lo else -.hi)
         +. (s.sense_mult *. Model.objective_constant s.model)
       in
-      if m_lo >= cutoff s -. s.prm.min_improvement then begin
+      if m_lo >= s.best_m -. s.prm.min_improvement then begin
         restore undo;
         `Pruned
       end
@@ -332,9 +292,6 @@ let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
           (fun () ->
             let trail = List.rev_append applied trail in
             s.nodes <- s.nodes + 1;
-            (match s.shared with
-            | Some sh -> Atomic.incr sh.sh_nodes
-            | None -> ());
             expand s ~depth ~trail ~parent_basis ~parent_bound
               (solve_node_lp s parent_basis))
     end
@@ -348,7 +305,7 @@ and expand s ~depth ~trail ~parent_basis ~parent_bound result =
        it if possible, otherwise branch blind and keep going — only
        when the node is fully fixed must the subtree be abandoned, and
        then optimality can no longer be claimed. *)
-    if parent_bound >= cutoff s -. s.prm.min_improvement then ()
+    if parent_bound >= s.best_m -. s.prm.min_improvement then ()
     else begin
       Log.warn (fun f ->
           f "LP iteration limit at depth %d; retreating to parent bound"
@@ -364,7 +321,7 @@ and expand s ~depth ~trail ~parent_basis ~parent_bound result =
        bounded this cannot happen. *)
   | Revised.Optimal { x; obj; basis } ->
     let m = s.sense_mult *. (obj +. Model.objective_constant s.model) in
-    if m >= cutoff s -. s.prm.min_improvement then () (* bound prune *)
+    if m >= s.best_m -. s.prm.min_improvement then () (* bound prune *)
     else begin
       match pick_branch_var s x with
       | None ->
@@ -470,7 +427,7 @@ type task_result = {
 (* Run one captured subtree on worker state [s] (its own problem copy):
    apply the trail, explore, restore the trail's variables from the root
    bounds.  Pure function of (task, entry, budget) apart from the wall
-   clock and, in free-running mode, the shared incumbent. *)
+   clock. *)
 let run_task s ~base_lb ~base_ub task ~entry ~budget =
   s.best_m <- entry;
   s.best_x <- None;
@@ -504,37 +461,22 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
     r_bound_incomplete = s.bound_incomplete;
   }
 
-(* Explore the captured frontier on the pool.  [s] is the caller's
-   search state, just finished with the ramp-up (its problem is back at
-   root bounds); [finish] packages the outcome.
+(* Explore the captured frontier on [pool], replaying the sequential
+   search exactly.  [s] is the caller's search state, just finished with
+   the ramp-up (its problem is back at root bounds); [finish] packages
+   the outcome.
 
-   Deterministic mode replays the sequential search exactly: subtrees
-   are explored speculatively in parallel (every task of a wave entering
-   with the same incumbent bound), then their results are consumed in
-   DFS order; a task whose speculation contract no longer matches what
-   the sequential search would have given it — an earlier subtree
-   improved the incumbent, or the node budget no longer covers what it
-   used — is re-explored, incumbent-stale tasks as a fresh wave and
-   budget-stale tasks alone with the exact remaining budget.  With a
+   Subtrees are explored speculatively in parallel (every task of a wave
+   entering with the same incumbent bound), then their results are
+   consumed in DFS order; a task whose speculation contract no longer
+   matches what the sequential search would have given it — an earlier
+   subtree improved the incumbent, or the node budget no longer covers
+   what it used — is re-explored, incumbent-stale tasks as a fresh wave
+   and budget-stale tasks alone with the exact remaining budget.  With a
    good warm start incumbent improvements are rare and one wave usually
-   suffices.
-
-   Free-running mode launches every subtree once, sharing the incumbent
-   and the node count through atomics — less redundant work under
-   frequent incumbent traffic, but which nodes get pruned depends on
-   thread timing. *)
-let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
-  let owned_pool = ref None in
-  let pool =
-    match pool with
-    | Some p -> p
-    | None ->
-      let p = Pool.create ~jobs in
-      owned_pool := Some p;
-      p
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown !owned_pool)
-  @@ fun () ->
+   suffices.  Every task writes only its own domain's search state and
+   its own slot of [results]. *)
+let solve_frontier s ~pool ~mk_search ~tasks ~finish =
   let base_lb =
     Array.init (Lp_problem.num_vars s.prob) (Lp_problem.var_lb s.prob)
   and base_ub =
@@ -563,14 +505,15 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
     incr waves;
     Pool.run pool ~n:(n - from) (fun ~worker k ->
         let i = from + k in
-        if Fault.fire site_task_loss then
-          (* The subtree's result vanishes (simulated worker loss); a
-             stale result from an earlier wave must not survive either. *)
-          results.(i) <- None
-        else
-          results.(i) <-
-            Some (run_task (state_of worker) ~base_lb ~base_ub tasks.(i)
-                    ~entry ~budget))
+        results.(i) <-
+          Some (run_task (state_of worker) ~base_lb ~base_ub tasks.(i)
+                  ~entry ~budget));
+    (* A subtree's result vanishes (simulated worker loss).  Fired here,
+       in task order on the calling domain, so which results a counted
+       fault spec drops does not depend on scheduling. *)
+    for i = from to n - 1 do
+      if Fault.fire site_task_loss then results.(i) <- None
+    done
   in
   (* Re-run a lost subtree inline on the calling domain, under the exact
      contract the consumer needs.  Sits outside [launch_wave]'s injection
@@ -581,104 +524,77 @@ let solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks ~finish =
     results.(i) <- Some r;
     r
   in
-  (match shared with
-  | Some sh ->
-    (* Free-running: one wave; the per-task budget is only a backstop,
-       the real limit is the shared node counter. *)
-    let budget = Int.max 0 (s.prm.node_limit - ramp_nodes) in
-    launch_wave ~from:0 ~entry:!chain_m ~budget;
-    Array.iteri
-      (fun i r ->
-        if r = None then ignore (recover i ~entry:!chain_m ~budget))
-      results;
-    Array.iter
-      (fun r ->
-        let r = Option.get r in
-        consumed := !consumed + r.r_nodes;
-        if r.r_hit_nodes || r.r_hit_time then out_of_budget := true;
-        if r.r_bound_incomplete then bound_incomplete := true)
-      results;
-    if Atomic.get sh.sh_nodes >= s.prm.node_limit then out_of_budget := true;
-    Mutex.lock sh.sh_lock;
-    (match sh.sh_x with
-    | Some (x, m) when m < !chain_m ->
+  let accept r =
+    consumed := !consumed + r.r_nodes;
+    if r.r_bound_incomplete then bound_incomplete := true;
+    match r.r_found with
+    | Some (x, m) ->
+      (* [run_task] only reports strict improvements over its entry
+         bound, which was the chain value. *)
       chain_m := m;
       chain_x := Some x
-    | _ -> ());
-    Mutex.unlock sh.sh_lock
-  | None ->
-    (* Deterministic replay with speculative waves. *)
-    let accept r =
-      consumed := !consumed + r.r_nodes;
-      if r.r_bound_incomplete then bound_incomplete := true;
-      match r.r_found with
-      | Some (x, m) ->
-        (* [run_task] only reports strict improvements over its entry
-           bound, which was the chain value. *)
-        chain_m := m;
-        chain_x := Some x
-      | None -> ()
-    in
-    (* If the ramp-up itself ran out of budget the sequential search
-       would touch none of the captured subtrees. *)
-    let i = ref 0 and stop = ref !out_of_budget in
-    while !i < n && not !stop do
-      let remaining = s.prm.node_limit - !consumed in
-      if remaining <= 0 then begin
-        (* The sequential search checks the budget before every node, so
-           it would refuse to open any further subtree. *)
+    | None -> ()
+  in
+  (* If the ramp-up itself ran out of budget the sequential search
+     would touch none of the captured subtrees. *)
+  let i = ref 0 and stop = ref !out_of_budget in
+  while !i < n && not !stop do
+    let remaining = s.prm.node_limit - !consumed in
+    if remaining <= 0 then begin
+      (* The sequential search checks the budget before every node, so
+         it would refuse to open any further subtree. *)
+      out_of_budget := true;
+      stop := true
+    end
+    else begin
+      (match results.(!i) with
+      | Some r when r.r_entry = !chain_m -> ()
+      | _ ->
+        (* Incumbent is stale (or first visit): every remaining task
+           speculated on the wrong entry bound, so relaunch them all
+           as one wave under the current chain value. *)
+        launch_wave ~from:!i ~entry:!chain_m ~budget:remaining);
+      let r =
+        match results.(!i) with
+        | Some r -> r
+        | None ->
+          (* Lost even after the relaunch: recover inline with the
+             exact sequential contract, which also makes the result
+             admissible by construction. *)
+          recover !i ~entry:!chain_m ~budget:remaining
+      in
+      if r.r_hit_time then begin
+        (* Wall clock ran out mid-subtree: accept what was found;
+           exactness — and hence replay determinism — ends here, as it
+           does for any time-limited run. *)
+        accept r;
         out_of_budget := true;
         stop := true
       end
-      else begin
-        (match results.(!i) with
-        | Some r when r.r_entry = !chain_m -> ()
-        | _ ->
-          (* Incumbent is stale (or first visit): every remaining task
-             speculated on the wrong entry bound, so relaunch them all
-             as one wave under the current chain value. *)
-          launch_wave ~from:!i ~entry:!chain_m ~budget:remaining);
-        let r =
-          match results.(!i) with
-          | Some r -> r
-          | None ->
-            (* Lost even after the relaunch: recover inline with the
-               exact sequential contract, which also makes the result
-               admissible by construction. *)
-            recover !i ~entry:!chain_m ~budget:remaining
-        in
-        if r.r_hit_time then begin
-          (* Wall clock ran out mid-subtree: accept what was found;
-             exactness — and hence replay determinism — ends here, as it
-             does for any time-limited run. *)
-          accept r;
-          out_of_budget := true;
-          stop := true
-        end
-        else if r.r_hit_nodes && r.r_budget = remaining then begin
-          (* Ran with the exact remaining budget and exhausted it: the
-             sequential search runs out of nodes inside this very
-             subtree, finding the same incumbents on the way. *)
-          accept r;
-          out_of_budget := true;
-          stop := true
-        end
-        else if r.r_nodes > remaining || r.r_hit_nodes then
-          (* Speculated past the real budget (or was cut off below it):
-             re-run this one subtree with the exact remaining budget.
-             The next iteration consumes it via one of the cases above. *)
-          results.(!i) <-
-            Some
-              (run_task (state_of 0) ~base_lb ~base_ub tasks.(!i)
-                 ~entry:!chain_m ~budget:remaining)
-        else begin
-          (* Admissible: byte-for-byte what the sequential search would
-             have done with this subtree. *)
-          accept r;
-          incr i
-        end
+      else if r.r_hit_nodes && r.r_budget = remaining then begin
+        (* Ran with the exact remaining budget and exhausted it: the
+           sequential search runs out of nodes inside this very
+           subtree, finding the same incumbents on the way. *)
+        accept r;
+        out_of_budget := true;
+        stop := true
       end
-    done);
+      else if r.r_nodes > remaining || r.r_hit_nodes then
+        (* Speculated past the real budget (or was cut off below it):
+           re-run this one subtree with the exact remaining budget.
+           The next iteration consumes it via one of the cases above. *)
+        results.(!i) <-
+          Some
+            (run_task (state_of 0) ~base_lb ~base_ub tasks.(!i)
+               ~entry:!chain_m ~budget:remaining)
+      else begin
+        (* Admissible: byte-for-byte what the sequential search would
+           have done with this subtree. *)
+        accept r;
+        incr i
+      end
+    end
+  done;
   s.best_m <- !chain_m;
   s.best_x <- !chain_x;
   s.out_of_budget <- !out_of_budget;
@@ -711,19 +627,12 @@ let solve ?(params = default_params) ?warm ?pool model =
     match pool with Some p -> Pool.jobs p | None -> Int.max 1 params.jobs
   in
   let parallel = jobs > 1 in
-  let shared =
-    if parallel && not params.deterministic then
-      Some
-        { sh_best = Atomic.make infinity; sh_lock = Mutex.create ();
-          sh_x = None; sh_nodes = Atomic.make 0 }
-    else None
-  in
   let start = Unix.gettimeofday () in
   let mk_search prob =
     {
       model; prob; prm = params; sense_mult; partner; is_integer;
       deadline = start +. params.time_limit;
-      shared; node_budget = params.node_limit; capture = None;
+      node_budget = params.node_limit; capture = None;
       ramp_limit = max_int;
       nodes = 0; lp_solves = 0;
       warm_hits = 0; cold_solves = 0; refactorizations = 0; pivots = 0;
@@ -744,8 +653,7 @@ let solve ?(params = default_params) ?warm ?pool model =
       *. (Lp_problem.objective_value prob x +. Model.objective_constant model)
     in
     s.best_m <- m;
-    s.best_x <- Some (Array.copy x);
-    (match shared with Some sh -> publish_shared sh x m | None -> ())
+    s.best_x <- Some (Array.copy x)
   | Some _ ->
     Log.warn (fun f -> f "warm start rejected (infeasible or non-integral)")
   | None -> ());
@@ -795,7 +703,6 @@ let solve ?(params = default_params) ?warm ?pool model =
        bound and as the root node of the search. *)
     let root_result = solve_node_lp s None in
     s.nodes <- s.nodes + 1;
-    (match shared with Some sh -> Atomic.incr sh.sh_nodes | None -> ());
     let root_bound =
       match root_result with
       | Revised.Optimal { obj; _ } ->
@@ -814,10 +721,15 @@ let solve ?(params = default_params) ?warm ?pool model =
         (* Sequential run, or a ramp-up that exhausted the whole tree. *)
         seq_finish ~root_bound:(sense_mult *. root_bound)
       else
-        solve_frontier s ~pool ~jobs ~shared ~mk_search ~tasks
-          ~finish:(fun ~per_domain ~waves ~tasks_lost ~total ->
-            finish ~root_bound:(sense_mult *. root_bound) ~per_domain
-              ~frontier:!n_tasks ~waves ~tasks_lost ~total)
+        let frontier pool =
+          solve_frontier s ~pool ~mk_search ~tasks
+            ~finish:(fun ~per_domain ~waves ~tasks_lost ~total ->
+              finish ~root_bound:(sense_mult *. root_bound) ~per_domain
+                ~frontier:!n_tasks ~waves ~tasks_lost ~total)
+        in
+        match pool with
+        | Some pool -> frontier pool
+        | None -> Pool.with_pool ~jobs frontier
     end
   end
 

@@ -25,15 +25,12 @@
       explored on a {!Fp_util.Pool} of domains, each with its own copy
       of the problem and its own simplex state.
 
-    The search is deterministic given the model and parameters: with the
-    default [deterministic = true] the parallel search replays the
-    sequential one exactly (same incumbent, same node count, independent
-    of domain scheduling), at the cost of re-exploring subtrees whose
-    speculative pruning bound turned out stale.  Setting
-    [deterministic = false] shares the incumbent through an atomic
-    instead — faster under heavy incumbent traffic, but the set of
-    pruned nodes (and, among equal-objective optima, the returned point)
-    then depends on timing.  See [docs/parallel.md].
+    The search is deterministic given the model and parameters: the
+    parallel search replays the sequential one exactly (same incumbent,
+    same node count, independent of domain scheduling), at the cost of
+    re-exploring subtrees whose speculative pruning bound turned out
+    stale.  Each pool task writes only its own domain's search state;
+    no incumbent is shared between domains.  See [docs/parallel.md].
 
     Fault sites (for {!Fp_util.Fault}, exercised by the resilience
     tests): ["branch_bound.budget"] forces the budget check to report
@@ -76,9 +73,6 @@ type params = {
       (** number of domains to search on (default [1], fully
           sequential).  Ignored when a [pool] is passed to {!solve} —
           the pool's size wins. *)
-  deterministic : bool;
-      (** replay the sequential search exactly (default [true]); see the
-          module header for the trade-off *)
   ramp_nodes : int;
       (** nodes explored sequentially before the frontier is handed to
           the pool (default [32]).  Larger values seed more, smaller
@@ -115,10 +109,10 @@ type domain_work = {
   d_shadow_pivots : int;
   d_numerical_recoveries : int;
 }
-(** Per-domain slice of the search-effort counters.  In deterministic
-    mode this counts {e all} work a domain performed, including
-    speculation that was later discarded by the replay — the honest
-    parallel cost, not the sequential-equivalent cost. *)
+(** Per-domain slice of the search-effort counters.  This counts {e all}
+    work a domain performed, including speculation that was later
+    discarded by the replay — the honest parallel cost, not the
+    sequential-equivalent cost. *)
 
 type outcome = {
   status : status;
@@ -173,8 +167,8 @@ val solve :
     bad warm start must never corrupt the search).
 
     [pool], when given, supplies the worker domains for [jobs > 1] (and
-    overrides [params.jobs] with its size); otherwise a private pool is
-    created and shut down around the frontier phase.  Passing a shared
+    overrides [params.jobs] with its size); otherwise a private
+    {!Fp_util.Pool.with_pool} brackets the frontier phase.  Passing a shared
     pool amortizes domain spawning across many [solve] calls — the
     successive-augmentation driver does exactly that.  The caller must
     not invoke [solve] with the same pool from two domains at once (see

@@ -162,6 +162,9 @@ let to_string nl =
     (Netlist.nets nl);
   Buffer.contents buf
 
+(* Flush inside the bracket: with_open's close discards the error of a
+   write that only fails at close (a full disk). *)
 let to_file path nl =
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string nl))
+      Out_channel.output_string oc (to_string nl);
+      Out_channel.flush oc)

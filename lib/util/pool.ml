@@ -206,14 +206,12 @@ let map t ~n f =
   Array.map Option.get out
 
 let shutdown t =
-  if not t.closed then begin
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.work_cv;
-    Mutex.unlock t.mutex;
-    Array.iter Domain.join t.domains;
-    t.domains <- [||]
-  end
+  Mutex.lock t.mutex;
+  t.closed <- true;
+  Condition.broadcast t.work_cv;
+  Mutex.unlock t.mutex;
+  Array.iter Domain.join t.domains;
+  t.domains <- [||]
 
 let with_pool ~jobs f =
   let t = create ~jobs in

@@ -2,9 +2,11 @@
 
     One pool serves a whole floorplanning run: the branch-and-bound seeds
     it with independent subtree tasks, the augmentation layer with
-    candidate-group MILPs.  Workers are OCaml 5 [Domain]s spawned once at
-    {!create} and parked between batches, so per-batch overhead is a
-    mutex handshake, not a domain spawn.
+    candidate-group MILPs.  Workers are OCaml 5 [Domain]s spawned once by
+    {!with_pool} and parked between batches, so per-batch overhead is a
+    mutex handshake, not a domain spawn.  {!with_pool} is the only way to
+    get a pool: it joins the workers when its body returns or raises, so
+    no pool outlives its bracket.
 
     Scheduling: a batch of [n] tasks is dealt round-robin into one
     Chase–Lev-style deque per worker.  Each worker drains its own deque
@@ -14,7 +16,7 @@
     to the same pool — a worker blocking on a sub-batch would deadlock
     the pool; parallelize at one level only (see docs/parallel.md).
 
-    The calling domain participates as worker [0], so [create ~jobs]
+    The calling domain participates as worker [0], so [with_pool ~jobs]
     spawns only [jobs - 1] new domains and [jobs = 1] spawns none
     (everything runs inline, no synchronization).
 
@@ -24,12 +26,6 @@
     further synchronization, as long as no two tasks share a slot. *)
 
 type t
-
-val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains.  [jobs] is clamped
-    to [1, 64].  Values above [Domain.recommended_domain_count ()]
-    oversubscribe the machine — allowed (the scaling bench measures it)
-    but not useful in production. *)
 
 val jobs : t -> int
 (** Number of workers, including the calling domain. *)
@@ -56,10 +52,11 @@ val map : t -> n:int -> (worker:int -> int -> 'a) -> 'a array
 (** [map t ~n f] is {!run} collecting results: element [i] is
     [f ~worker i]. *)
 
-val shutdown : t -> unit
-(** Join all worker domains.  The pool must not be used afterwards.
-    Idempotent. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] on a fresh pool and always shuts it
-    down, even if [f] raises. *)
+(** [with_pool ~jobs f] spawns [jobs - 1] worker domains, runs [f] on
+    the pool and joins the workers when [f] returns or raises.  [jobs] is
+    clamped to [1, 64].  Values above
+    [Domain.recommended_domain_count ()] oversubscribe the machine —
+    allowed (the scaling bench measures it) but not useful in
+    production.  The pool must not escape [f]: {!run} on a pool whose
+    [with_pool] has returned raises [Invalid_argument]. *)

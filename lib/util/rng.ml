@@ -38,9 +38,3 @@ let shuffle_list t l =
   let arr = Array.of_list l in
   shuffle t arr;
   Array.to_list arr
-
-let split t = { state = next_int64 t }
-
-let split_n t n =
-  if n < 0 then invalid_arg "Rng.split_n: negative count";
-  Array.init n (fun _ -> split t)

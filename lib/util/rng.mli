@@ -8,15 +8,12 @@
 
     {b Domain discipline.}  A [t] is a single mutable cell with no
     internal locking; two domains drawing from the same [t] race (and,
-    worse, silently correlate).  Every parallel code path must instead
-    derive one stream per domain up front with {!split} / {!split_n} —
-    derivation advances the parent deterministically, so the overall run
-    stays reproducible regardless of how the children are later
-    scheduled.  (Audit note: every generator in this repository is
-    created locally from an explicit seed — [Fp_netlist.Generator],
-    [Fp_netlist.Ordering.random], [Fp_slicing.Anneal], [Fp_data.Ami33] —
-    so there is no shared global stream to protect; the rule exists so
-    the parallel solve layer, {!Pool}, can never introduce one.) *)
+    worse, silently correlate).  So every generator is created locally
+    from an explicit seed and used by one domain: [Fp_netlist.Generator],
+    [Fp_netlist.Ordering.random], [Fp_slicing.Anneal], [Fp_data.Ami33],
+    one per engine in a portfolio race, and one per armed
+    {!Fault} site, drawn under the harness lock.  The parallel
+    branch-and-bound draws no random numbers. *)
 
 type t
 
@@ -44,13 +41,3 @@ val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
 val shuffle_list : t -> 'a list -> 'a list
-
-val split : t -> t
-(** Derive an independent child stream (advances the parent). *)
-
-val split_n : t -> int -> t array
-(** [split_n t n] derives [n] independent child streams — one per domain
-    of a parallel section.  Advances the parent [n] times; the children
-    are safe to move to other domains as long as each is then used by
-    one domain only.
-    @raise Invalid_argument on a negative [n]. *)

@@ -101,5 +101,9 @@ let of_routed ?(scale = 6.) ?netlist pl rt =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
+(* Flush inside the bracket: with_open's close discards the error of a
+   write that only fails at close (a full disk). *)
 let save path svg =
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc svg)
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc svg;
+      Out_channel.flush oc)

@@ -1,32 +1,18 @@
-(* SA014 negative: channel lifecycles the DFA accepts — Fun.protect
-   reads and writes, close with no prior uses, and the sanctioned
-   close_noerr after close. *)
+(* SA014 negative: every channel opens through a Stdlib with_open_*
+   bracket, which closes it on every exit; writers flush inside the
+   bracket so a write error surfaces instead of dying in the close. *)
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_all path = In_channel.with_open_bin path In_channel.input_all
 
 let write_all path s =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc s;
+      flush oc)
 
-(* Zero uses before the close: nothing can raise in between, so the
-   bare close is fine. *)
-let touch path =
-  let oc = open_out path in
-  close_out oc
+let append path s =
+  Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 path (fun oc ->
+      output_string oc s;
+      flush oc)
 
-(* close_out in the body, close_out_noerr in ~finally: the noerr close
-   on an already-closed channel is the idempotent-teardown idiom, not a
-   double close. *)
-let noerr_after_close path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "x";
-      close_out oc)
+(* Closing and channel I/O on an already-open channel are not opens. *)
+let finish oc = close_out oc

@@ -1,22 +1,24 @@
-(* SA014 positive: channel lifecycle violations — a write after close
-   reached through a [let]-alias, and a close hidden in a helper whose
-   summary still closes the caller's channel. *)
+(* SA014 positive: raw channel opens.  Each leaves the close to its
+   caller; the Stdlib with_open_* brackets close on every exit. *)
 
-(* Alias: dup and oc are the same abstract cell, so the close through
-   one name kills writes through the other.  The unprotected close is
-   also skippable if the first write raises. *)
-let alias_bad path =
+let read_raw path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* A close in ~finally is still a raw open: the bracket is the API. *)
+let write_raw path s =
   let oc = open_out path in
-  let dup = oc in
-  output_string dup "x";
-  close_out oc;
-  output_string dup "y"
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+      output_string oc s)
 
-(* The helper's protocol summary records "param 0: open -> closed", so
-   the caller's later write is a use-after-close. *)
-let finish oc = close_out oc
+let append_raw path s =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  output_string oc s;
+  close_out oc
 
-let helper_bad path =
-  let oc = open_out path in
-  finish oc;
-  output_string oc "z"
+(* The channel modules' raw opens count too. *)
+let slurp path = In_channel.input_all (In_channel.open_text path)
+
+let create path = Stdlib.Out_channel.open_bin path

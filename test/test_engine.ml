@@ -116,6 +116,19 @@ let test_engine_deterministic () =
         (a.Solver.plan = b.Solver.plan))
     (engines ())
 
+(* A race lane stops at its next commit once the abort is signalled: with
+   the flag already set, the MILP engine commits its first step and
+   returns that partial plan. *)
+let test_milp_abort_stops_at_commit () =
+  let nl = gen ~n:8 ~seed:5 in
+  let sc = scenario 1990 in
+  let ctx = Solver.of_scenario sc in
+  Fp_util.Abort.signal ctx.Solver.abort;
+  let o = (Milp_engine.make ()).Solver.solve ctx sc nl in
+  Alcotest.(check bool) "incomplete" false (stats o).Solver.complete;
+  Alcotest.(check (float 0.)) "one step" 1.
+    (List.assoc "steps" (stats o).Solver.detail)
+
 (* ------------------------- projection engine ------------------------- *)
 
 let test_project_certifies_ami33 () =
@@ -294,6 +307,8 @@ let () =
             test_engine_deterministic;
           Alcotest.test_case "sa deadline truncates" `Quick
             test_sa_deadline_truncates;
+          Alcotest.test_case "milp abort stops at commit" `Quick
+            test_milp_abort_stops_at_commit;
         ] );
       ( "project",
         [

@@ -500,22 +500,6 @@ let test_parallel_deterministic_matches_sequential =
          | Some (x1, o1), Some (x2, o2) -> o1 = o2 && x1 = x2
          | _ -> false))
 
-let test_parallel_free_running_optimal =
-  QCheck.Test.make ~name:"free-running jobs=4 finds the same optimum"
-    ~count:50 random_milp_arb (fun inst ->
-      let seq = BB.solve ~params:BB.default_params (build_random_milp inst) in
-      let par =
-        BB.solve
-          ~params:{ par_params with deterministic = false }
-          (build_random_milp inst)
-      in
-      (* Timing decides which optimal point wins, but with an exhausted
-         search the optimal value is unique. *)
-      match (seq.BB.best, par.BB.best) with
-      | None, None -> true
-      | Some (_, o1), Some (_, o2) -> Float.abs (o1 -. o2) < 1e-9
-      | _ -> false)
-
 (* A knapsack whose LP relaxation is fractional at the root, so a 1-node
    ramp is guaranteed to leave a frontier for the pool. *)
 let frontier_model () =
@@ -611,7 +595,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest
             test_parallel_deterministic_matches_sequential;
-          QCheck_alcotest.to_alcotest test_parallel_free_running_optimal;
           Alcotest.test_case "per-domain stats" `Quick
             test_parallel_stats_cover_all_domains;
           Alcotest.test_case "shared pool" `Quick test_shared_pool_reused;

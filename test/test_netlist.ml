@@ -224,6 +224,17 @@ let test_parser_roundtrip () =
         (Netlist.connectivity nl 0 1)
         (Netlist.connectivity nl2 0 1))
 
+(* A write that fails only when the buffer is flushed (a full disk)
+   must raise, not vanish in the close. *)
+let test_parser_to_file_write_error () =
+  if Sys.file_exists "/dev/full" then
+    match Parser.of_string sample_text with
+    | Error e -> Alcotest.fail e
+    | Ok nl -> (
+      match Parser.to_file "/dev/full" nl with
+      | () -> Alcotest.fail "write error on /dev/full was dropped"
+      | exception Sys_error _ -> ())
+
 let expect_error text fragment =
   match Parser.of_string text with
   | Ok _ -> Alcotest.fail "expected a parse error"
@@ -330,6 +341,8 @@ let () =
         [
           Alcotest.test_case "parses" `Quick test_parser_parses;
           Alcotest.test_case "roundtrip" `Quick test_parser_roundtrip;
+          Alcotest.test_case "to_file write error" `Quick
+            test_parser_to_file_write_error;
           Alcotest.test_case "errors" `Quick test_parser_errors;
         ] );
       ( "generator",

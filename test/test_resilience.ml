@@ -241,7 +241,7 @@ let test_task_loss_recovery () =
 
 let tmp_path () = Filename.temp_file "fp_resilience" ".journal"
 
-let test_journal_roundtrip () =
+let sample_journal () =
   let placed id r rotated =
     { Placement.module_id = id; rect = r; envelope = r; rotated }
   in
@@ -251,11 +251,12 @@ let test_journal_roundtrip () =
     |> Fun.flip Placement.add
          (placed 1 (Rect.make ~x:2.5 ~y:0. ~w:(1. /. 3.) ~h:1.75) true)
   in
-  let j =
-    { Journal.config_digest = "cafe"; instance_digest = "beef";
-      chip_width = 10.; steps_done = 1; placement = pl;
-      remaining = [ [ 2; 3 ]; [ 4 ] ] }
-  in
+  { Journal.config_digest = "cafe"; instance_digest = "beef";
+    chip_width = 10.; steps_done = 1; placement = pl;
+    remaining = [ [ 2; 3 ]; [ 4 ] ] }
+
+let test_journal_roundtrip () =
+  let j = sample_journal () in
   let path = tmp_path () in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -263,6 +264,27 @@ let test_journal_roundtrip () =
       Journal.write ~path j;
       let j' = Result.get_ok (Journal.read ~path) in
       Alcotest.(check bool) "identical record" true (j = j'))
+
+(* A rewrite that cannot complete (here the tmp sibling is a directory)
+   must raise and leave the previous checkpoint readable, never a torn
+   one. *)
+let test_journal_rewrite_atomic () =
+  let j = sample_journal () in
+  let path = tmp_path () in
+  let tmp = path ^ ".tmp" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.rmdir tmp)
+    (fun () ->
+      Journal.write ~path j;
+      Sys.mkdir tmp 0o755;
+      Alcotest.(check bool) "rewrite raises" true
+        (match Journal.write ~path { j with Journal.steps_done = 2 } with
+        | () -> false
+        | exception Sys_error _ -> true);
+      Alcotest.(check bool) "first journal intact" true
+        (Journal.read ~path = Ok j))
 
 let test_journal_rejects_garbage () =
   let path = tmp_path () in
@@ -361,7 +383,12 @@ let test_config_digest_scope () =
   Alcotest.(check bool) "group size included" true
     (d small_cfg <> d { small_cfg with Augment.group_size = 2 });
   Alcotest.(check bool) "deadline included" true
-    (d small_cfg <> d { small_cfg with Augment.run_time_limit = Some 5. })
+    (d small_cfg <> d { small_cfg with Augment.run_time_limit = Some 5. });
+  (* Pinned: a changed rendering would orphan every journal on disk. *)
+  Alcotest.(check string) "default digest" "0b860fd8fcb48c078731f014b8cf5cec"
+    (d Augment.default_config);
+  Alcotest.(check string) "tight digest" "6e8c48969b07e105d05bea2d146a9e33"
+    (d { Augment.default_config with Augment.formulation = Formulation.Tight })
 
 let () =
   Alcotest.run "resilience"
@@ -398,6 +425,8 @@ let () =
       ( "journal",
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
+          Alcotest.test_case "rewrite is atomic" `Quick
+            test_journal_rewrite_atomic;
           Alcotest.test_case "rejects garbage" `Quick
             test_journal_rejects_garbage;
         ] );

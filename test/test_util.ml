@@ -59,51 +59,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "is a permutation" (Array.init 50 Fun.id) sorted
 
-let test_rng_split_independent () =
-  let parent = Rng.create 5 in
-  let child = Rng.split parent in
-  Alcotest.(check bool)
-    "child differs from parent" false
-    (Rng.next_int64 parent = Rng.next_int64 child)
-
-let test_rng_split_n_deterministic () =
-  (* Same parent seed must yield the same child streams — the property
-     that keeps parallel runs reproducible. *)
-  let children seed =
-    Rng.split_n (Rng.create seed) 4 |> Array.map Rng.next_int64
-  in
-  check
-    Alcotest.(array int64)
-    "same seed, same children" (children 17) (children 17)
-
-let test_rng_split_n_pairwise_distinct () =
-  let kids = Rng.split_n (Rng.create 23) 8 in
-  let outs = Array.map Rng.next_int64 kids in
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if i < j then
-            Alcotest.(check bool)
-              (Printf.sprintf "children %d and %d diverge" i j)
-              false (a = b))
-        outs)
-    outs
-
-let test_rng_split_n_advances_parent () =
-  let a = Rng.create 31 and b = Rng.create 31 in
-  ignore (Rng.split_n a 3);
-  Alcotest.(check bool)
-    "parent advanced by derivation" false
-    (Rng.next_int64 a = Rng.next_int64 b)
-
-let test_rng_split_n_edge_cases () =
-  check Alcotest.int "zero children" 0
-    (Array.length (Rng.split_n (Rng.create 1) 0));
-  Alcotest.check_raises "negative n"
-    (Invalid_argument "Rng.split_n: negative count") (fun () ->
-      ignore (Rng.split_n (Rng.create 1) (-1)))
-
 let test_rng_copy () =
   let a = Rng.create 13 in
   ignore (Rng.next_int64 a);
@@ -288,12 +243,6 @@ let test_pool_jobs_clamped () =
   Pool.with_pool ~jobs:1000 (fun p ->
       check Alcotest.int "clamped down to 64" 64 (Pool.jobs p))
 
-let test_pool_shutdown_idempotent () =
-  let p = Pool.create ~jobs:2 in
-  ignore (Pool.map p ~n:4 (fun ~worker:_ i -> i));
-  Pool.shutdown p;
-  Pool.shutdown p
-
 let () =
   Alcotest.run "fp_util"
     [
@@ -307,15 +256,6 @@ let () =
           Alcotest.test_case "int coverage" `Quick test_rng_int_coverage;
           Alcotest.test_case "shuffle permutation" `Quick
             test_rng_shuffle_permutation;
-          Alcotest.test_case "split independent" `Quick test_rng_split_independent;
-          Alcotest.test_case "split_n deterministic" `Quick
-            test_rng_split_n_deterministic;
-          Alcotest.test_case "split_n pairwise distinct" `Quick
-            test_rng_split_n_pairwise_distinct;
-          Alcotest.test_case "split_n advances parent" `Quick
-            test_rng_split_n_advances_parent;
-          Alcotest.test_case "split_n edge cases" `Quick
-            test_rng_split_n_edge_cases;
           Alcotest.test_case "copy" `Quick test_rng_copy;
         ] );
       ( "stats",
@@ -349,7 +289,5 @@ let () =
           Alcotest.test_case "reused across batches" `Quick
             test_pool_reused_across_batches;
           Alcotest.test_case "jobs clamped" `Quick test_pool_jobs_clamped;
-          Alcotest.test_case "shutdown idempotent" `Quick
-            test_pool_shutdown_idempotent;
         ] );
     ]

@@ -95,7 +95,13 @@ let test_svg_save () =
   Svg.save path (Svg.of_placement (sample_placement ()));
   let content = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
-  Alcotest.(check bool) "saved" true (contains "<svg" content)
+  Alcotest.(check bool) "saved" true (contains "<svg" content);
+  (* A write that fails only when the buffer is flushed (a full disk)
+     must raise, not vanish in the close. *)
+  if Sys.file_exists "/dev/full" then
+    match Svg.save "/dev/full" (Svg.of_placement (sample_placement ())) with
+    | () -> Alcotest.fail "write error on /dev/full was dropped"
+    | exception Sys_error _ -> ()
 
 let () =
   Alcotest.run "fp_viz"
