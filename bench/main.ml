@@ -1,13 +1,12 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (section 4) and runs Bechamel micro-benchmarks for the
-   performance-critical kernels.
+   evaluation (section 4), plus the design-choice ablations, the fault
+   matrix and the engine portfolio race.
 
    Usage:
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- --table 1    -- one table
      dune exec bench/main.exe -- --figures    -- figures 5 and 6 (SVG + ASCII)
      dune exec bench/main.exe -- --ablation   -- design-choice ablations
-     dune exec bench/main.exe -- --bechamel   -- micro-benchmarks only
      dune exec bench/main.exe -- --quick      -- reduced MILP budgets
 
    Absolute numbers differ from the paper's 1990 Apollo DN3550 runs; the
@@ -17,10 +16,8 @@
    demonstrates.  See EXPERIMENTS.md for the side-by-side record. *)
 
 module Netlist = Fp_netlist.Netlist
-module Generator = Fp_netlist.Generator
 module BB = Fp_milp.Branch_bound
 module Skyline = Fp_geometry.Skyline
-module Rect = Fp_geometry.Rect
 module Solver = Fp_engine.Solver
 module Portfolio = Fp_engine.Portfolio
 open Fp_core
@@ -938,138 +935,10 @@ let portfolio_bench () =
     ]
 
 (* --------------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks: one Test.make per table + kernel ablations  *)
-(* --------------------------------------------------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* Table 1 kernel: one full small-instance floorplan, tight budget. *)
-  let t1_nl =
-    Generator.generate
-      { Generator.default_config with Generator.num_modules = 8; seed = 77 }
-  in
-  let tight =
-    { Augment.default_config with
-      Augment.group_size = 3;
-      milp = { Augment.default_config.Augment.milp with BB.node_limit = 120 } }
-  in
-  let table1_test =
-    Test.make ~name:"table1/augment-8mod"
-      (Staged.stage (fun () -> ignore (Augment.run ~config:tight t1_nl)))
-  in
-  (* Table 2 kernel: formulation build + warm start for one ami33 group
-     (the per-step cost the objective/ordering sweep pays). *)
-  let ami = Fp_data.Ami33.netlist () in
-  let items =
-    Array.of_list
-      (Augment.items_of_group Augment.default_config ami [ 0; 1; 2; 3 ])
-  in
-  let sky = Skyline.create ~width:110. in
-  let table2_test =
-    Test.make ~name:"table2/ami33-step-model"
-      (Staged.stage (fun () ->
-           let built =
-             Formulation.build ~chip_width:110. ~height_bound:160.
-               (Array.to_list items)
-           in
-           let warm =
-             Warm_start.place_group ~skyline:sky ~allow_rotation:true
-               ~linearization:Formulation.Secant items
-           in
-           ignore
-             (Formulation.assign_warm built
-                (fun k -> warm.(k).Warm_start.envelope)
-                ~rotated:(fun k -> warm.(k).Warm_start.rotated))))
-  in
-  (* Table 3 kernel: weighted global routing over a fixed placement. *)
-  let t3_nl =
-    Generator.generate
-      { Generator.default_config with Generator.num_modules = 10; seed = 78 }
-  in
-  let t3_pl = (Augment.run ~config:tight t3_nl).Augment.placement in
-  let table3_test =
-    Test.make ~name:"table3/route-weighted"
-      (Staged.stage (fun () ->
-           ignore
-             (Fp_route.Global_router.route
-                ~algorithm:(Fp_route.Global_router.Weighted { penalty = 3. })
-                t3_nl t3_pl)))
-  in
-  (* Kernel ablations: the simplex and the covering decomposition. *)
-  let simplex_lp () =
-    let p = Fp_lp.Lp_problem.create () in
-    let n = 40 in
-    let vars =
-      Array.init n (fun i ->
-          Fp_lp.Lp_problem.add_var p ~ub:10.
-            ~obj:(float_of_int ((i mod 7) - 3))
-            (Printf.sprintf "x%d" i))
-    in
-    for r = 0 to 59 do
-      let terms =
-        List.init 8 (fun k ->
-            (float_of_int (((r + k) mod 5) + 1), vars.((r + (3 * k)) mod n)))
-      in
-      Fp_lp.Lp_problem.add_constr p terms Fp_lp.Lp_problem.Le
-        (float_of_int ((r mod 17) + 10))
-    done;
-    p
-  in
-  let simplex_test =
-    Test.make ~name:"ablation/simplex-60x40"
-      (Staged.stage (fun () -> ignore (Fp_lp.Simplex.solve (simplex_lp ()))))
-  in
-  let big_sky =
-    List.fold_left
-      (fun sky i ->
-        let x = float_of_int (i * 7 mod 193) in
-        Skyline.add_rect sky
-          (Rect.make ~x ~y:0.
-             ~w:(float_of_int ((i mod 9) + 2))
-             ~h:(float_of_int ((i mod 13) + 1))))
-      (Skyline.create ~width:200.)
-      (List.init 120 Fun.id)
-  in
-  let covering_test =
-    Test.make ~name:"ablation/covering-120"
-      (Staged.stage (fun () ->
-           ignore (Fp_geometry.Covering.of_skyline big_sky)))
-  in
-  [ table1_test; table2_test; table3_test; simplex_test; covering_test ]
-
-let run_bechamel () =
-  hr "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 50) ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            printf "%-28s %14.0f ns/run%s\n" name est
-              (match Analyze.OLS.r_square result with
-              | Some r -> Printf.sprintf "  (r2 %.3f)" r
-              | None -> "")
-          | Some _ | None -> printf "%-28s (no estimate)\n" name)
-        analyzed)
-    (bechamel_tests ())
-
-(* --------------------------------------------------------------------- *)
 
 let () =
   let run_t1 = ref false and run_t2 = ref false and run_t3 = ref false in
-  let run_figs = ref false and run_abl = ref false and run_bch = ref false in
+  let run_figs = ref false and run_abl = ref false in
   let run_chk = ref false and run_par = ref false and run_flt = ref false in
   let run_pf = ref false and run_form = ref false in
   let any = ref false in
@@ -1091,9 +960,6 @@ let () =
       ( "--ablation",
         Arg.Unit (fun () -> any := true; run_abl := true),
         "  run design-choice ablations" );
-      ( "--bechamel",
-        Arg.Unit (fun () -> any := true; run_bch := true),
-        "  run Bechamel micro-benchmarks" );
       ( "--check",
         Arg.Unit (fun () -> any := true; run_chk := true),
         "  report lint findings + certification time per step" );
@@ -1135,7 +1001,6 @@ let () =
     run_t3 := true;
     run_figs := true;
     run_abl := true;
-    run_bch := true;
     run_chk := true;
     run_pf := true
   end;
@@ -1149,5 +1014,4 @@ let () =
   if !run_flt then fault_matrix ();
   if !run_pf then portfolio_bench ();
   if !run_chk then check_overhead ();
-  if !run_bch then run_bechamel ();
   printf "\ndone.\n"

@@ -223,27 +223,6 @@ let with_stop_after n inspect =
           incr count;
           if !count >= n then raise Augment.Abort) }
 
-let report_degradations (res : Augment.result) =
-  (match res.Augment.degradations with
-  | [] -> ()
-  | ds ->
-    Printf.printf "degraded   : %d event%s\n" (List.length ds)
-      (if List.length ds = 1 then "" else "s");
-    List.iter
-      (fun (step, d) ->
-        Printf.printf "  step %d: %s\n" step (Degradation.to_string d))
-      ds);
-  if res.Augment.interrupted then
-    Printf.printf "interrupted: yes (continue with --resume)\n"
-
-(* Exit code 3: the run finished feasible but quality-degraded (warm
-   fallbacks, dropped net bounds, deadline truncation).  Informational
-   degradations (recoveries, retries that succeeded) stay at 0. *)
-let degraded_exit (res : Augment.result) =
-  Degradation.exit_code (List.map snd res.Augment.degradations)
-
-(* Engine-layer counterpart of [report_degradations], reading the typed
-   {!Solver.stats} instead of the [Augment] result. *)
 let report_engine_degradations (st : Solver.stats) =
   (match st.Solver.degradations with
   | [] -> ()
@@ -418,22 +397,31 @@ let lint_arg =
                  partial and the final placement, and print the findings \
                  (exit 1 on any error-severity finding).")
 
-let run_plan ?resume nl config refine =
-  let t0 = Unix.gettimeofday () in
-  let res = Augment.run ~config ?resume nl in
-  let pl =
-    (* The finishing passes expect a complete floorplan; an interrupted
-       run reports its partial placement as-is (it is still valid). *)
-    if res.Augment.interrupted then res.Augment.placement
-    else begin
-      let pl = Compact.vertical res.Augment.placement in
-      let pl, _ =
-        Topology.optimize ~linearization:config.Augment.linearization nl pl
-      in
-      if refine then fst (Refine.reinsert_top nl pl) else pl
-    end
+(* [route] and [check] run the MILP engine under the default scenario,
+   which overlays nothing on [config]. *)
+let solve_milp nl config =
+  let sc = Solver.default_scenario in
+  let outcome =
+    (Fp_engine.Milp_engine.make ~config ()).Solver.solve
+      (Solver.of_scenario sc) sc nl
   in
-  (res, pl, Unix.gettimeofday () -. t0)
+  match outcome.Solver.plan with
+  | Some pl -> (pl, outcome.Solver.stats)
+  | None -> assert false (* the MILP engine always returns its placement *)
+
+(* Exit code 3: the run finished feasible but quality-degraded (warm
+   fallbacks, dropped net bounds, deadline truncation); informational
+   degradations stay at 0.  With --lint, the final plan is certified and
+   an error-severity finding (exit 1) wins. *)
+let finish_exit ~lint nl pl findings (st : Solver.stats) =
+  let degraded = Degradation.exit_code (List.map snd st.Solver.degradations) in
+  if lint then begin
+    certify_final nl pl findings;
+    match report_findings ~machine:false !findings with
+    | 0 -> degraded
+    | n -> n
+  end
+  else degraded
 
 let report_plan nl pl dt =
   Printf.printf "instance   : %s\n" (Netlist.name nl);
@@ -502,16 +490,7 @@ let plan_cmd =
             Printf.printf "svg        : %s\n" path)
           svg;
         if ascii then print_string (Fp_viz.Ascii.render pl);
-        let degraded =
-          Degradation.exit_code (List.map snd st.Solver.degradations)
-        in
-        if lint then begin
-          certify_final nl pl findings;
-          match report_findings ~machine:false !findings with
-          | 0 -> degraded
-          | n -> n
-        end
-        else degraded
+        finish_exit ~lint nl pl findings st
       in
       (match engine with
       | `Portfolio ->
@@ -591,8 +570,9 @@ let route_cmd =
             inspect = Some (checking_hooks nl findings) }
         else config
       in
-      let _, pl, dt = run_plan nl config false in
-      report_plan nl pl dt;
+      let pl, st = solve_milp nl config in
+      report_plan nl pl st.Solver.wall_time;
+      report_engine_degradations st;
       let algorithm =
         if penalty_off then Fp_route.Global_router.Shortest_path
         else
@@ -614,11 +594,7 @@ let route_cmd =
           Fp_viz.Svg.save path (Fp_viz.Svg.of_routed ~netlist:nl pl rt);
           Printf.printf "svg        : %s\n" path)
         svg;
-      if lint then begin
-        certify_final nl pl findings;
-        report_findings ~machine:false !findings
-      end
-      else 0
+      finish_exit ~lint nl pl findings st
   in
   let term =
     Term.(
@@ -663,12 +639,14 @@ let check_cmd =
           Augment.check = true;
           inspect = Some (checking_hooks nl findings) }
       in
-      let res, pl, _ = run_plan nl config false in
+      let pl, st = solve_milp nl config in
       certify_final nl pl findings;
       let code = report_findings ~machine !findings in
-      let degraded = degraded_exit res in
+      let degraded =
+        Degradation.exit_code (List.map snd st.Solver.degradations)
+      in
       if not machine then begin
-        report_degradations res;
+        report_engine_degradations st;
         Printf.printf "verdict    : %s\n"
           (if code <> 0 then "INVALID"
            else if degraded <> 0 then "degraded-feasible"

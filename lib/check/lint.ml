@@ -1,19 +1,15 @@
 module Model = Fp_milp.Model
 module Lp_problem = Fp_lp.Lp_problem
-module Simplex = Fp_lp.Simplex
+module Revised = Fp_lp.Revised
 module D = Diagnostic
 
-type context = {
-  slack_binaries : Model.var list option;
-  refine_lp : bool;
-  margin : float;
-  loose_factor : float;
-  pair_loose_factor : float;
-}
-
-let default_context =
-  { slack_binaries = None; refine_lp = true; margin = 0.25;
-    loose_factor = 1e3; pair_loose_factor = 64. }
+(* Big-M thresholds, documented at [model] in lint.mli.  [margin] only
+   matters when the exact LP stops at its iteration limit: interval
+   arithmetic overestimates correlated spans, and the margin absorbs
+   that. *)
+let margin = 0.25
+let loose_factor = 1e3
+let pair_loose_factor = 64.
 
 (* ------------------------------------------------------------------ *)
 (* Interval arithmetic over variable bounds                             *)
@@ -298,9 +294,9 @@ let lp_sup m ~skip_row ~pinned ~lbt ~ubt terms =
     (Lp_problem.constraints prob);
   Lp_problem.set_sense lp Lp_problem.Maximize;
   List.iter (fun (c, v) -> Lp_problem.set_obj_coeff lp v c) terms;
-  Simplex.solve lp
+  fst (Revised.solve lp)
 
-let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
+let bigm_checks m ~is_slack ~pair_of rows lbt ubt =
   let acc = ref [] in
   let emit d = acc := d :: !acc in
   (* Rows whose switches all belong to one declared disjunction pair are
@@ -365,7 +361,7 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
               | _ -> ());
               if
                 need > tol && owning_pair = None
-                && avail > ctx.loose_factor *. need
+                && avail > loose_factor *. need
               then
                 emit
                   (D.make ~code:"ML009" ~severity:D.Warning ~subject
@@ -377,18 +373,16 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
                 (* Interval-suspicious: the bounds alone cannot prove the
                    big-M sufficient.  Refine with the exact LP. *)
                 let refined =
-                  if not ctx.refine_lp then None
-                  else
-                    let pinned =
-                      List.filter_map
-                        (fun (c, v) -> if c < 0. then Some (v, 1.) else None)
-                        slack_terms
-                    in
-                    match lp_sup m ~skip_row:ri ~pinned ~lbt ~ubt terms with
-                    | Simplex.Optimal { obj; _ } -> Some (`Sup obj)
-                    | Simplex.Infeasible -> Some `Unreachable
-                    | Simplex.Unbounded -> Some (`Sup infinity)
-                    | Simplex.Iteration_limit -> None
+                  let pinned =
+                    List.filter_map
+                      (fun (c, v) -> if c < 0. then Some (v, 1.) else None)
+                      slack_terms
+                  in
+                  match lp_sup m ~skip_row:ri ~pinned ~lbt ~ubt terms with
+                  | Revised.Optimal { obj; _ } -> Some (`Sup obj)
+                  | Revised.Infeasible -> Some `Unreachable
+                  | Revised.Unbounded -> Some (`Sup infinity)
+                  | Revised.Iteration_limit -> None
                 in
                 match refined with
                 | Some `Unreachable -> () (* deactivation never arises *)
@@ -402,7 +396,7 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
                          (sup -. rhs) avail)
                 | None ->
                   let deficit = need -. avail in
-                  if deficit > ctx.margin *. need then
+                  if deficit > margin *. need then
                     emit
                       (D.make ~code:"ML008" ~severity:D.Error ~subject
                          "big-M too small: deactivation capacity %g covers \
@@ -416,10 +410,10 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
                       (D.make ~code:"ML008" ~severity:D.Warning ~subject
                          "big-M possibly too small: capacity %g vs \
                           interval-estimated span %g (within the %.0f%% \
-                          correlation margin; enable LP refinement for an \
-                          exact verdict)"
+                          correlation margin; the exact LP hit its \
+                          iteration limit)"
                          avail need
-                         (100. *. ctx.margin))
+                         (100. *. margin))
               end
             end)
           (le_views row))
@@ -428,7 +422,7 @@ let bigm_checks ctx m ~is_slack ~pair_of rows lbt ubt =
   Hashtbl.fold (fun p entries l -> (p, !entries) :: l) pair_rows []
   |> List.sort compare
   |> List.iter (fun ((a, b), entries) ->
-         let over = List.for_all (fun (_, r) -> r > ctx.pair_loose_factor) in
+         let over = List.for_all (fun (_, r) -> r > pair_loose_factor) in
          if entries <> [] && over entries then begin
            let worst_row, worst =
              List.fold_left
@@ -478,7 +472,7 @@ let pair_coverage m =
 
 (* ------------------------------------------------------------------ *)
 
-let model ?(context = default_context) m =
+let model ?slack_binaries m =
   let prob = Model.problem m in
   let rows = Lp_problem.constraints prob in
   let n = Model.num_vars m in
@@ -499,7 +493,7 @@ let model ?(context = default_context) m =
       let slack_set = Hashtbl.create 16 in
       List.iter
         (fun v -> Hashtbl.replace slack_set v ())
-        (match context.slack_binaries with
+        (match slack_binaries with
         | Some l -> l
         | None -> List.concat_map (fun (a, b) -> [ a; b ]) (Model.pairs m));
       let is_slack v = Hashtbl.mem slack_set v in
@@ -513,7 +507,7 @@ let model ?(context = default_context) m =
       let lbt = Array.copy lb and ubt = Array.copy ub in
       tighten_bounds ~is_slack rows lbt ubt;
       if Array.for_all2 (fun l u -> l <= u) lbt ubt then
-        bigm_checks context m ~is_slack ~pair_of rows lbt ubt
+        bigm_checks m ~is_slack ~pair_of rows lbt ubt
       else []
     end
   in
@@ -588,7 +582,5 @@ let structural (b : F.built) =
   !acc
 
 let formulation (b : F.built) =
-  let context =
-    { default_context with slack_binaries = Some (sep_binaries b) }
-  in
-  List.stable_sort D.compare (structural b @ model ~context b.F.model)
+  List.stable_sort D.compare
+    (structural b @ model ~slack_binaries:(sep_binaries b) b.F.model)

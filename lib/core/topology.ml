@@ -2,7 +2,7 @@ module Rect = Fp_geometry.Rect
 module Tol = Fp_geometry.Tol
 module Model = Fp_milp.Model
 module Expr = Fp_milp.Expr
-module Simplex = Fp_lp.Simplex
+module Revised = Fp_lp.Revised
 module Netlist = Fp_netlist.Netlist
 module Module_def = Fp_netlist.Module_def
 
@@ -123,8 +123,8 @@ let optimize ?(linearization = Formulation.Secant) nl pl =
       height_after = h0;
     }
   in
-  match Simplex.solve (Model.problem model) with
-  | Simplex.Optimal { x = sol; _ } ->
+  match fst (Revised.solve (Model.problem model)) with
+  | Revised.Optimal { x = sol; _ } ->
     let rebuilt = ref (Placement.empty ~chip_width:w) in
     Array.iter
       (fun m ->
@@ -159,7 +159,7 @@ let optimize ?(linearization = Formulation.Secant) nl pl =
             { m.p with Placement.rect = silicon; envelope })
       ms;
     (!rebuilt, { stats_base with height_after = !rebuilt.Placement.height })
-  | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit ->
+  | Revised.Infeasible | Revised.Unbounded | Revised.Iteration_limit ->
     (* The input point is feasible, so this is numerical bad luck; keep
        the original placement. *)
     (pl, stats_base)

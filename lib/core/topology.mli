@@ -27,6 +27,8 @@ val optimize :
   Placement.t * stats
 (** Re-optimize the placement.  Rigid modules keep their placed
     orientation; flexible modules may re-shape within their aspect
-    window.  Envelope margins are preserved exactly as placed.
+    window.  Envelope margins are preserved exactly as placed.  When the
+    LP fails (e.g. stops at its iteration limit), the input placement is
+    returned unchanged, with [height_after = height_before].
     @raise Invalid_argument if the placement is invalid (overlapping
     envelopes) or if some module of the netlist is unplaced. *)

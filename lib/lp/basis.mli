@@ -8,8 +8,7 @@
     accumulated floating-point error — the classic revised-simplex
     lifecycle.
 
-    Used by {!Revised}; the dense tableau solver {!Simplex} does not need
-    it. *)
+    Used by {!Revised}. *)
 
 type mat = {
   m : int;  (** number of rows *)

@@ -1,6 +1,6 @@
 (* Bounded-variable revised simplex over a factorized basis (Basis).
 
-   Differences from the dense tableau solver (Simplex):
+   Design points:
    - variable bounds are first class: no shift / mirror / split columns,
      the internal column space is exactly [structural + one logical per
      row], so a basis snapshot is meaningful across bound changes;

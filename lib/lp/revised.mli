@@ -1,12 +1,12 @@
-(** Bounded-variable revised simplex.
+(** Bounded-variable revised simplex, the library's only LP solver.
 
-    Solves the same problems as {!Simplex} but treats variable bounds as
-    first class (nonbasic variables rest at their lower or upper bound)
-    and keeps the basis as an LU factorization with product-form eta
-    updates ({!Basis}).  Because the internal column space is exactly
-    [structural variables + one logical per row], an optimal basis can be
-    re-used by {!solve_from} after the bounds change — the
-    branch-and-bound warm-start path, served by a dual-simplex phase.
+    Treats variable bounds as first class (nonbasic variables rest at
+    their lower or upper bound) and keeps the basis as an LU
+    factorization with product-form eta updates ({!Basis}).  Because the
+    internal column space is exactly [structural variables + one logical
+    per row], an optimal basis can be re-used by {!solve_from} after the
+    bounds change — the branch-and-bound warm-start path, served by a
+    dual-simplex phase.
 
     Tolerances: primal feasibility [1e-7], dual feasibility [1e-7]
     ([1e-6] when screening a warm basis), ratio-test pivot threshold

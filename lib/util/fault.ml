@@ -23,7 +23,9 @@ let builtin =
       "worker domain crashes mid-task; candidate evaluation falls back to \
        sequential" );
     ( "revised.iteration_limit",
-      "stalled simplex on a node LP; parent-bound retreat" );
+      "stalled simplex on any LP; a B&B node retreats to its parent \
+       bound, Topology keeps its input plan, the big-M lint falls back \
+       to its interval verdict" );
   ]
 
 type spec = {

@@ -15,6 +15,7 @@ module BB = Fp_milp.Branch_bound
 module Diag = Fp_check.Diagnostic
 module Lint = Fp_check.Lint
 module Certify = Fp_check.Certify
+module Fault = Fp_util.Fault
 open Fp_core
 
 let rect x y w h = Rect.make ~x ~y ~w ~h
@@ -57,8 +58,6 @@ let test_diag_order_and_counts () =
     (Certify.accepts [ mk "A" Diag.Warning ])
 
 (* ---------------------------- model lint ----------------------------- *)
-
-let no_refine = { Lint.default_context with Lint.refine_lp = false }
 
 let test_lint_clean_model () =
   let m = Model.create () in
@@ -128,9 +127,20 @@ let test_lint_bigm_too_small () =
   let ds = Lint.model (bigm_model ~m_const:2.) in
   check_error "ML008 is an error" "ML008" ds
 
+(* When the refinement LP stops at its iteration limit, the interval
+   estimate decides: a 3/5 deficit is beyond the 25% margin. *)
 let test_lint_bigm_too_small_interval_fallback () =
-  let ds = Lint.model ~context:no_refine (bigm_model ~m_const:2.) in
-  check_error "ML008 without LP refinement" "ML008" ds
+  Fault.arm (Fault.spec ~count:max_int "revised.iteration_limit");
+  let ds =
+    Fun.protect ~finally:Fault.reset (fun () ->
+        Lint.model (bigm_model ~m_const:2.))
+  in
+  Alcotest.(check bool) "ML008 error from the interval estimate" true
+    (List.exists
+       (fun d ->
+         d.Diag.code = "ML008" && Diag.is_error d
+         && String.ends_with ~suffix:"(interval estimate)" d.Diag.message)
+       ds)
 
 let test_lint_bigm_adequate () =
   let ds = Lint.model (bigm_model ~m_const:5.) in

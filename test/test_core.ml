@@ -773,20 +773,36 @@ let test_items_of_group_margins () =
 
 (* ----------------------------- topology ----------------------------- *)
 
+(* Hand-made wasteful placement: stacked with a gap, height 7 where 4
+   is optimal. *)
+let gapped_stack () =
+  Placement.empty ~chip_width:6.
+  |> Fun.flip Placement.add (placed 0 (rect 0. 0. 4. 2.))
+  |> Fun.flip Placement.add (placed 1 (rect 0. 5. 2. 2.))
+
 let test_topology_improves_or_keeps () =
-  (* Hand-made wasteful placement: stacked with gaps. *)
   let nl = two_module_nl () in
-  let pl =
-    Placement.empty ~chip_width:6.
-    |> Fun.flip Placement.add (placed 0 (rect 0. 0. 4. 2.))
-    |> Fun.flip Placement.add (placed 1 (rect 0. 5. 2. 2.))
-  in
+  let pl = gapped_stack () in
   let pl2, stats = Topology.optimize nl pl in
   Alcotest.(check int) "no integer vars" 0 stats.Topology.num_integer_vars;
   Alcotest.(check bool) "height reduced" true
     (pl2.Placement.height <= pl.Placement.height +. 1e-6);
   checkf "optimal stack" 4. pl2.Placement.height;
   Alcotest.(check bool) "valid" true (Placement.valid pl2 = Ok ())
+
+(* A failed LP (here a forced iteration limit) leaves the input plan. *)
+let test_topology_keeps_input_on_lp_failure () =
+  let site = "revised.iteration_limit" in
+  let pl = gapped_stack () in
+  Fp_util.Fault.arm (Fp_util.Fault.spec site);
+  let (pl2, stats), injected =
+    Fun.protect ~finally:Fp_util.Fault.reset (fun () ->
+        let r = Topology.optimize (two_module_nl ()) pl in
+        (r, Fp_util.Fault.injections site))
+  in
+  Alcotest.(check int) "LP failed" 1 injected;
+  Alcotest.(check bool) "input placement returned" true (pl2 = pl);
+  checkf "height kept" stats.Topology.height_before stats.Topology.height_after
 
 let test_topology_rejects_invalid () =
   let nl = two_module_nl () in
@@ -1016,6 +1032,8 @@ let () =
         [
           Alcotest.test_case "improves or keeps" `Quick
             test_topology_improves_or_keeps;
+          Alcotest.test_case "keeps input on LP failure" `Quick
+            test_topology_keeps_input_on_lp_failure;
           Alcotest.test_case "rejects invalid" `Quick test_topology_rejects_invalid;
           Alcotest.test_case "flexible reshape" `Quick
             test_topology_flexible_reshape;

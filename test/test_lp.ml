@@ -1,19 +1,21 @@
-(* Tests for Fp_lp: the model builder, the two-phase bounded-variable
-   simplex, and the LP-format writer.  Includes a brute-force 2-D vertex
-   enumeration cross-check of optimality. *)
+(* Tests for Fp_lp: the model builder, the bounded-variable revised
+   simplex on known LPs, and the LP-format writer.  Includes a
+   brute-force 2-D vertex enumeration cross-check of optimality. *)
 
 module Lp = Fp_lp.Lp_problem
-module Simplex = Fp_lp.Simplex
+module Revised = Fp_lp.Revised
 module Lp_io = Fp_lp.Lp_io
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
+let solve p = fst (Revised.solve p)
+
 let solve_opt p =
-  match Simplex.solve p with
-  | Simplex.Optimal { x; obj } -> (x, obj)
-  | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
-  | Simplex.Iteration_limit -> Alcotest.fail "unexpected iteration limit"
+  match solve p with
+  | Revised.Optimal { x; obj; _ } -> (x, obj)
+  | Revised.Infeasible -> Alcotest.fail "unexpected infeasible"
+  | Revised.Unbounded -> Alcotest.fail "unexpected unbounded"
+  | Revised.Iteration_limit -> Alcotest.fail "unexpected iteration limit"
 
 (* ------------------------- model builder --------------------------- *)
 
@@ -152,7 +154,7 @@ let test_infeasible () =
   let x = Lp.add_var p "x" in
   Lp.add_constr p [ (1., x) ] Lp.Ge 5.;
   Lp.add_constr p [ (1., x) ] Lp.Le 3.;
-  Alcotest.(check bool) "infeasible" true (Simplex.solve p = Simplex.Infeasible)
+  Alcotest.(check bool) "infeasible" true (solve p = Revised.Infeasible)
 
 let test_infeasible_equalities () =
   let p = Lp.create () in
@@ -160,14 +162,14 @@ let test_infeasible_equalities () =
   let y = Lp.add_var p "y" in
   Lp.add_constr p [ (1., x); (1., y) ] Lp.Eq 1.;
   Lp.add_constr p [ (2., x); (2., y) ] Lp.Eq 3.;
-  Alcotest.(check bool) "inconsistent" true (Simplex.solve p = Simplex.Infeasible)
+  Alcotest.(check bool) "inconsistent" true (solve p = Revised.Infeasible)
 
 let test_unbounded () =
   let p = Lp.create () in
   let x = Lp.add_var p ~obj:1. "x" in
   let y = Lp.add_var p ~obj:(-1.) "y" in
   Lp.add_constr p [ (1., x); (-1., y) ] Lp.Le 0.;
-  Alcotest.(check bool) "unbounded" true (Simplex.solve p = Simplex.Unbounded)
+  Alcotest.(check bool) "unbounded" true (solve p = Revised.Unbounded)
 
 let test_empty_objective () =
   (* Pure feasibility problem. *)
@@ -187,14 +189,6 @@ let test_redundant_rows () =
   Lp.add_constr p [ (2., x) ] Lp.Ge 2.;
   let _, obj = solve_opt p in
   checkf "obj" 1. obj
-
-let test_stats_populated () =
-  let p = Lp.create () in
-  let x = Lp.add_var p ~obj:1. "x" in
-  Lp.add_constr p [ (1., x) ] Lp.Ge 3.;
-  let _, stats = Simplex.solve_with_stats p in
-  Alcotest.(check bool) "rows > 0" true (stats.Simplex.rows > 0);
-  Alcotest.(check bool) "cols > 0" true (stats.Simplex.cols > 0)
 
 (* ----------------- brute-force 2-D cross-check --------------------- *)
 
@@ -258,8 +252,8 @@ let test_simplex_matches_brute_force =
       let x = Lp.add_var p ~ub:ub1 ~obj:c1 "x" in
       let y = Lp.add_var p ~ub:ub2 ~obj:c2 "y" in
       List.iter (fun (a, b, r) -> Lp.add_constr p [ (a, x); (b, y) ] Lp.Le r) rows;
-      match Simplex.solve p with
-      | Simplex.Optimal { obj; x = sol } ->
+      match solve p with
+      | Revised.Optimal { obj; x = sol; _ } ->
         let expected = brute_force_2d ~c1 ~c2 ~rows ~ub1 ~ub2 in
         Float.abs (obj -. expected) < 1e-5
         && Lp.constraint_violation p sol < 1e-6
@@ -272,8 +266,8 @@ let test_solution_always_feasible =
       let x = Lp.add_var p ~ub:50. ~obj:c1 "x" in
       let y = Lp.add_var p ~ub:50. ~obj:c2 "y" in
       List.iter (fun (a, b, r) -> Lp.add_constr p [ (a, x); (b, y) ] Lp.Le r) rows;
-      match Simplex.solve p with
-      | Simplex.Optimal { x = sol; _ } -> Lp.constraint_violation p sol < 1e-6
+      match solve p with
+      | Revised.Optimal { x = sol; _ } -> Lp.constraint_violation p sol < 1e-6
       | _ -> false)
 
 (* ------------------------------ lp_io ------------------------------ *)
@@ -400,7 +394,6 @@ let () =
           Alcotest.test_case "unbounded" `Quick test_unbounded;
           Alcotest.test_case "empty objective" `Quick test_empty_objective;
           Alcotest.test_case "redundant rows" `Quick test_redundant_rows;
-          Alcotest.test_case "stats populated" `Quick test_stats_populated;
           QCheck_alcotest.to_alcotest test_simplex_matches_brute_force;
           QCheck_alcotest.to_alcotest test_solution_always_feasible;
         ] );

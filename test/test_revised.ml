@@ -1,10 +1,9 @@
 (* Tests for Fp_lp.Revised: deterministic known LPs, a qcheck oracle
-   pitting the revised simplex against the legacy dense tableau solver
-   on random bounded LPs, and warm-vs-cold equivalence on branched
-   (bound-tightened) subproblems. *)
+   pitting the revised simplex against the dense tableau solver in
+   [Dense_simplex] on random bounded LPs, and warm-vs-cold equivalence
+   on branched (bound-tightened) subproblems. *)
 
 module Lp = Fp_lp.Lp_problem
-module Simplex = Fp_lp.Simplex
 module Revised = Fp_lp.Revised
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
@@ -219,18 +218,18 @@ let build r =
 
 let agree p r_dense r_rev =
   match (r_dense, r_rev) with
-  | Simplex.Optimal { obj = a; _ }, Revised.Optimal { obj = b; x; _ } ->
+  | Dense_simplex.Optimal { obj = a; _ }, Revised.Optimal { obj = b; x; _ } ->
     Float.abs (a -. b) < 1e-5 && Lp.constraint_violation p x < 1e-6
-  | Simplex.Infeasible, Revised.Infeasible -> true
-  | Simplex.Unbounded, Revised.Unbounded -> true
-  | Simplex.Iteration_limit, _ | _, Revised.Iteration_limit -> true
+  | Dense_simplex.Infeasible, Revised.Infeasible -> true
+  | Dense_simplex.Unbounded, Revised.Unbounded -> true
+  | Dense_simplex.Iteration_limit, _ | _, Revised.Iteration_limit -> true
   | _ -> false
 
 let test_revised_matches_dense =
   QCheck.Test.make ~name:"revised = dense simplex on random bounded LPs"
     ~count:220 rlp_arb (fun r ->
       let p = build r in
-      agree p (Simplex.solve p) (fst (Revised.solve p)))
+      agree p (Dense_simplex.solve p) (fst (Revised.solve p)))
 
 let agree_rev p r1 r2 =
   match (r1, r2) with
