@@ -237,7 +237,6 @@ let table1 () =
             ("nodes", Json.Int nodes);
             ("lp_solves", Json.Int (sum_steps (fun s -> s.Augment.lp_solves) steps));
             ("warm_hits", Json.Int (sum_steps (fun s -> s.Augment.warm_hits) steps));
-            ("cold_solves", Json.Int (sum_steps (fun s -> s.Augment.cold_solves) steps));
             ("pivots", Json.Int (sum_steps (fun s -> s.Augment.pivots) steps));
             ("worst_status", Json.Str (status_str (worst_status steps)));
           ]
@@ -410,27 +409,6 @@ let ablation_covering () =
       printf "%-12s %14d %12.1f %12.2f\n" name ints pl.Placement.height dt)
     [ ("covering", true); ("raw modules", false) ]
 
-let ablation_branch_rule () =
-  hr "Ablation -- branch-and-bound branching rule";
-  printf "%-18s %10s %12s %12s\n" "Rule" "Height" "Nodes" "Time (s)";
-  let nl = Fp_data.Instances.table1_instance 15 in
-  List.iter
-    (fun (name, rule) ->
-      let base = base_config () in
-      let config =
-        { base with
-          Augment.milp = { base.Augment.milp with BB.branch_rule = rule } }
-      in
-      let t0 = Unix.gettimeofday () in
-      let res, pl = floorplan ~config nl in
-      let dt = Unix.gettimeofday () -. t0 in
-      let nodes =
-        List.fold_left (fun a s -> a + s.Augment.nodes) 0 res.Augment.steps
-      in
-      printf "%-18s %10.1f %12d %12.2f\n" name pl.Placement.height nodes dt)
-    [ ("most-fractional", BB.Most_fractional);
-      ("first-fractional", BB.First_fractional) ]
-
 let ablation_router_penalty () =
   hr "Ablation -- router congestion penalty sweep";
   printf "%8s %12s %12s %12s\n" "Penalty" "WireLen" "OverflowSum" "MaxOverflow";
@@ -478,107 +456,6 @@ let baseline_comparison () =
       row "MILP (this paper)" milp_pl t_milp;
       row "slicing SA (baseline)" sa_pl sa_stats.Fp_slicing.Anneal.elapsed)
     [ 15; 33 ]
-
-let ablation_warm_start () =
-  hr "Ablation -- basis warm starting (cold vs warm node LP solves)";
-  printf "(each B&B child differs from its parent by one variable-bound flip;\n";
-  printf " the revised simplex re-solves it from the parent basis with a few\n";
-  printf " dual pivots instead of a cold two-phase solve)\n\n";
-  printf "%4s %-6s %12s %10s %10s %10s %10s %10s %10s\n" "K" "Mode" "Area"
-    "Util" "Pivots" "LPsolves" "WarmHits" "Time (s)" "Certify";
-  let rows = ref [] in
-  let sizes =
-    match List.filter (fun k -> k = 15 || k = 25) (table1_sizes ()) with
-    | [] -> [ 15 ]
-    | l -> l
-  in
-  List.iter
-    (fun k ->
-      let nl = Fp_data.Instances.table1_instance k in
-      let run ~warm_lp ~shadow =
-        let base = base_config () in
-        let config =
-          { base with
-            Augment.milp =
-              { base.Augment.milp with BB.warm_lp; shadow_cold = shadow } }
-        in
-        let t0 = Unix.gettimeofday () in
-        let res, pl = floorplan ~config nl in
-        let dt = Unix.gettimeofday () -. t0 in
-        let errors, _, _ =
-          Fp_check.Diagnostic.count (Fp_check.Certify.placement nl pl)
-        in
-        (res.Augment.steps, pl, dt, errors)
-      in
-      (* Two end-to-end runs (honest wall clock for each engine), plus a
-         shadow run that prices every warm node with a cold solve too —
-         the matched-tree comparison the acceptance number comes from:
-         same subproblems, same floorplan by construction. *)
-      let cold_steps, cold_pl, cold_dt, cold_err = run ~warm_lp:false ~shadow:false in
-      let warm_steps, warm_pl, warm_dt, warm_err = run ~warm_lp:true ~shadow:false in
-      let sh_steps, sh_pl, _, _ = run ~warm_lp:true ~shadow:true in
-      let report mode steps pl dt errors =
-        printf "%4d %-6s %12.0f %9.1f%% %10d %10d %10d %10.2f %10s\n" k mode
-          (Placement.chip_area pl)
-          (100. *. Metrics.utilization nl pl)
-          (sum_steps (fun s -> s.Augment.pivots) steps)
-          (sum_steps (fun s -> s.Augment.lp_solves) steps)
-          (sum_steps (fun s -> s.Augment.warm_hits) steps)
-          dt
-          (if errors = 0 then "pass" else "FAIL")
-      in
-      report "cold" cold_steps cold_pl cold_dt cold_err;
-      report "warm" warm_steps warm_pl warm_dt warm_err;
-      let matched_warm = sum_steps (fun s -> s.Augment.pivots) sh_steps in
-      let matched_cold = sum_steps (fun s -> s.Augment.shadow_pivots) sh_steps in
-      let ratio =
-        if matched_warm = 0 then Float.infinity
-        else float_of_int matched_cold /. float_of_int matched_warm
-      in
-      (* The shadow run must reproduce the plain warm run exactly (the
-         extra solves are side-effect free); flag it if numerics ever
-         break that. *)
-      let same pl1 pl2 =
-        Float.abs (Placement.chip_area pl1 -. Placement.chip_area pl2)
-          <= 1e-6 *. Float.max 1. (Placement.chip_area pl1)
-      in
-      printf
-        "     matched tree: cold %d vs warm %d pivots -> %.2fx reduction%s\n"
-        matched_cold matched_warm ratio
-        (if same sh_pl warm_pl then "" else "  (SHADOW RUN DIVERGED)");
-      let mode_obj steps pl dt errors =
-        Json.Obj
-          ([
-            ("area", Json.Float (Placement.chip_area pl));
-            ("utilization", Json.Float (Metrics.utilization nl pl));
-            ("pivots", Json.Int (sum_steps (fun s -> s.Augment.pivots) steps));
-            ("lp_solves", Json.Int (sum_steps (fun s -> s.Augment.lp_solves) steps));
-            ("warm_hits", Json.Int (sum_steps (fun s -> s.Augment.warm_hits) steps));
-            ("cold_solves", Json.Int (sum_steps (fun s -> s.Augment.cold_solves) steps));
-            ("refactorizations",
-             Json.Int (sum_steps (fun s -> s.Augment.refactorizations) steps));
-            ("time_s", Json.Float dt);
-            ("certified", Json.Bool (errors = 0));
-            ("worst_status", Json.Str (status_str (worst_status steps)));
-          ]
-          @ formulation_fields (base_config ())
-          @ resilience_fields steps)
-      in
-      rows :=
-        Json.Obj
-          [
-            ("engine", Json.Str "milp");
-            ("k", Json.Int k);
-            ("cold", mode_obj cold_steps cold_pl cold_dt cold_err);
-            ("warm", mode_obj warm_steps warm_pl warm_dt warm_err);
-            ("matched_cold_pivots", Json.Int matched_cold);
-            ("matched_warm_pivots", Json.Int matched_warm);
-            ("pivot_ratio", Json.Float ratio);
-            ("identical_result", Json.Bool (same sh_pl warm_pl));
-          ]
-        :: !rows)
-    sizes;
-  write_json "ablation_warm_start" [ ("rows", Json.List (List.rev !rows)) ]
 
 let ablation_parallel () =
   hr "Ablation -- domain-parallel branch-and-bound (scaling)";
@@ -693,12 +570,10 @@ let ablation_formulation () =
   write_json "ablation_formulation" [ ("rows", Json.List (List.rev !rows)) ]
 
 let ablations () =
-  ablation_warm_start ();
   ablation_parallel ();
   ablation_formulation ();
   ablation_group_size ();
   ablation_covering ();
-  ablation_branch_rule ();
   ablation_router_penalty ();
   baseline_comparison ()
 
@@ -988,13 +863,21 @@ let () =
         "  also write machine-readable BENCH_<exp>.json files to --out" );
       ( "--max-k",
         Arg.Set_int max_k,
-        "N  restrict Table-1 / warm-start instances to K <= N (CI smoke)" );
-      ("--out", Arg.Set_string out_dir, "DIR  directory for SVG outputs");
+        "N  restrict Table-1 / ablation instances to K <= N (CI smoke)" );
+      ( "--out",
+        Arg.Set_string out_dir,
+        "DIR  existing directory for the JSON and SVG outputs (default .)" );
     ]
   in
   Arg.parse speclist
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "floorplan benchmark harness";
+  (* Checked before any experiment runs, so a typo in --out cannot throw
+     away a finished run at its first write. *)
+  if not (Sys.file_exists !out_dir && Sys.is_directory !out_dir) then begin
+    Printf.eprintf "error: --out %s: no such directory\n" !out_dir;
+    exit Degradation.exit_error
+  end;
   if not !any then begin
     run_t1 := true;
     run_t2 := true;

@@ -44,6 +44,34 @@ let load_instance input ami33 random seed =
     Error "no instance: pass --input FILE, --ami33, or --random K"
   | _ -> Error "pass exactly one of --input, --ami33, --random"
 
+(* Numeric converters that check the option's range when the command
+   line is parsed, so a bad value is a one-line usage error (exit 124)
+   instead of an exception or a run on nonsense. *)
+let checked base ~want ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ | Error _ ->
+      Error (`Msg (Printf.sprintf "expected %s, got %S" want s))
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let int_from lo =
+  checked Arg.int
+    ~want:(Printf.sprintf "an integer >= %d" lo)
+    (fun n -> n >= lo)
+
+let positive_float =
+  checked Arg.float ~want:"a finite number > 0" (fun x ->
+      Float.is_finite x && x > 0.)
+
+let non_negative_float =
+  checked Arg.float ~want:"a finite number >= 0" (fun x ->
+      Float.is_finite x && x >= 0.)
+
+(* [Fp_netlist.Generator] needs at least two modules. *)
+let module_count = int_from 2
+
 let input_arg =
   Arg.(value & opt (some file) None
        & info [ "i"; "input" ] ~docv:"FILE" ~doc:"Instance file to load.")
@@ -53,7 +81,7 @@ let ami33_arg =
        & info [ "ami33" ] ~doc:"Use the bundled synthetic ami33 benchmark.")
 
 let random_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some module_count) None
        & info [ "random" ] ~docv:"K"
            ~doc:"Use a random instance with $(docv) modules.")
 
@@ -67,12 +95,12 @@ let verbose_arg =
 (* --------------------------- plan options --------------------------- *)
 
 let width_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float) None
        & info [ "w"; "width" ] ~docv:"W"
            ~doc:"Chip width (default: near-square from the total area).")
 
 let group_arg =
-  Arg.(value & opt int 4
+  Arg.(value & opt (int_from 1) 4
        & info [ "g"; "group" ] ~docv:"N"
            ~doc:"Modules added per augmentation step.")
 
@@ -82,28 +110,28 @@ let ordering_arg =
            ~doc:"Augmentation order: linear (connectivity), random, or area.")
 
 let objective_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some non_negative_float) None
        & info [ "wire" ] ~docv:"LAMBDA"
            ~doc:"Add a wirelength objective term with weight $(docv).")
 
 let envelope_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float) None
        & info [ "envelope" ] ~docv:"PITCH"
            ~doc:"Reserve routing envelopes with the given track pitch.")
 
 let nodes_arg =
-  Arg.(value & opt int 4000
+  Arg.(value & opt (int_from 0) 4000
        & info [ "nodes" ] ~docv:"N"
            ~doc:"Branch-and-bound node budget per augmentation step.")
 
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_from 1) 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Worker domains for the MILP search (deterministic: the \
                  floorplan is identical for every $(docv)).")
 
 let candidates_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_from 1) 1
        & info [ "candidates" ] ~docv:"N"
            ~doc:"Candidate next groups evaluated concurrently per \
                  augmentation step; the one with the lowest skyline is \
@@ -123,7 +151,7 @@ let formulation_arg =
               propagation at every branch-and-bound node).")
 
 let time_budget_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some non_negative_float) None
        & info [ "time-budget" ] ~docv:"SECS"
            ~doc:"Run-level wall-clock budget: the remaining budget is \
                  apportioned over the remaining augmentation steps, and \
@@ -131,7 +159,7 @@ let time_budget_arg =
                  their warm packings (reported as degradations).")
 
 let retries_arg =
-  Arg.(value & opt int 2
+  Arg.(value & opt (int_from 0) 2
        & info [ "retries" ] ~docv:"N"
            ~doc:"Escalated re-attempts for a step whose MILP found no \
                  solution.")
@@ -150,7 +178,7 @@ let resume_arg =
                  an uninterrupted run.")
 
 let stop_after_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some (int_from 1)) None
        & info [ "stop-after" ] ~docv:"N"
            ~doc:"Interrupt the run after $(docv) committed steps (for \
                  testing checkpoint/resume; pair with --checkpoint).")
@@ -276,7 +304,7 @@ let engine_arg =
               plan).")
 
 let outline_arg =
-  Arg.(value & opt (some (t2 ~sep:'x' float float)) None
+  Arg.(value & opt (some (t2 ~sep:'x' positive_float positive_float)) None
        & info [ "outline" ] ~docv:"WxH"
            ~doc:
              "Fixed-outline mode: constrain the floorplan to a \
@@ -537,11 +565,11 @@ let plan_cmd =
 
 let route_cmd =
   let pitch_arg =
-    Arg.(value & opt float 0.35
+    Arg.(value & opt positive_float 0.35
          & info [ "pitch" ] ~docv:"P" ~doc:"Routing track pitch.")
   in
   let weighted_arg =
-    Arg.(value & opt (some float) (Some 3.)
+    Arg.(value & opt (some non_negative_float) (Some 3.)
          & info [ "penalty" ] ~docv:"P"
              ~doc:"Congestion penalty (omit for plain shortest path via \
                    --penalty-off).")
@@ -675,8 +703,8 @@ let check_cmd =
 
 let gen_cmd =
   let k_arg =
-    Arg.(required & pos 0 (some int) None
-         & info [] ~docv:"K" ~doc:"Number of modules.")
+    Arg.(required & pos 0 (some module_count) None
+         & info [] ~docv:"K" ~doc:"Number of modules (at least 2).")
   in
   let out_arg =
     Arg.(value & opt (some string) None

@@ -33,9 +33,7 @@ type step_stat = {
   nodes : int;
   lp_solves : int;
   warm_hits : int;
-  cold_solves : int;
   pivots : int;
-  shadow_pivots : int;
   refactorizations : int;
   warm_height : float;
   step_height : float;
@@ -97,7 +95,6 @@ let default_config =
         Branch_bound.node_limit = 4000;
         time_limit = 20.;
         min_improvement = 1e-4;
-        branch_rule = Branch_bound.First_fractional;
       };
     check = false;
     inspect = None;
@@ -119,8 +116,8 @@ type result = {
 }
 
 (* Canonical rendering of everything in the config that shapes the
-   placement trajectory, digested into the checkpoint journal.  [jobs],
-   [milp.jobs] and [milp.ramp_nodes] are deliberately excluded — the
+   placement trajectory, digested into the checkpoint journal.  [jobs]
+   and [milp.ramp_nodes] are deliberately excluded — the
    deterministic replay makes the trajectory independent of worker
    scheduling, and resume must work across [--jobs] values.  [check],
    [inspect] and [checkpoint] are observational.  The two closure fields
@@ -162,15 +159,11 @@ let config_digest cfg =
   p "compact:%b;" cfg.compact_each_step;
   p "netbound:%b;" (cfg.critical_net_bound <> None);
   let m = cfg.milp in
-  p "milp:%d:%h:%h:%h:%s:%b:%b:%b;" m.Branch_bound.node_limit
-    m.Branch_bound.time_limit m.Branch_bound.int_tol
-    m.Branch_bound.min_improvement
-    (match m.Branch_bound.branch_rule with
-    | Branch_bound.Most_fractional -> "mf"
-    | Branch_bound.First_fractional -> "ff")
-    m.Branch_bound.warm_lp m.Branch_bound.shadow_cold
-    (* the removed [deterministic] flag, kept so older journals resume *)
-    true;
+  (* The fixed integrality tolerance, branching rule ("ff") and LP warm
+     start, and the removed shadow-cold and deterministic flags, print
+     the values they always had, so older journals resume. *)
+  p "milp:%d:%h:%h:%h:ff:true:false:true;" m.Branch_bound.node_limit
+    m.Branch_bound.time_limit 1e-6 m.Branch_bound.min_improvement;
   p "cand:%d;" cfg.candidates;
   (match cfg.run_time_limit with
   | None -> p "deadline:none;"
@@ -269,10 +262,8 @@ type eval = {
    warm-only commits): all-zero effort, no incumbent. *)
 let no_outcome =
   {
-    Branch_bound.status = Branch_bound.No_solution; best = None; nodes = 0;
-    lp_solves = 0; warm_hits = 0; cold_solves = 0; refactorizations = 0;
-    pivots = 0; shadow_pivots = 0; numerical_recoveries = 0; tasks_lost = 0;
-    root_bound = nan; elapsed = 0.;
+    Branch_bound.status = Branch_bound.No_solution; best = None;
+    work = Branch_bound.no_work; tasks_lost = 0; root_bound = nan;
     per_domain = [||]; frontier_tasks = 0; waves = 0;
   }
 
@@ -435,10 +426,9 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
         Branch_bound.solve ~params:milp ?warm:warm_sol ?pool
           built.Formulation.model
       in
-      if outcome.Branch_bound.numerical_recoveries > 0 then
-        degrade
-          (Degradation.Numerical_recovery
-             outcome.Branch_bound.numerical_recoveries);
+      let recoveries = outcome.Branch_bound.work.numerical_recoveries in
+      if recoveries > 0 then
+        degrade (Degradation.Numerical_recovery recoveries);
       if outcome.Branch_bound.tasks_lost > 0 then
         degrade (Degradation.Task_lost outcome.Branch_bound.tasks_lost);
       (match (outcome.Branch_bound.best, warm_sol) with
@@ -615,6 +605,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
     remaining := new_remaining;
     let degradations = e.e_degradations @ extra_degr in
     let outcome = e.e_outcome in
+    let work = outcome.Branch_bound.work in
     let stat =
       {
         group = e.e_group;
@@ -624,13 +615,11 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
           Fp_milp.Model.num_constrs e.e_built.Formulation.model;
         num_cover_rects = e.e_num_obstacles;
         milp_status = outcome.Branch_bound.status;
-        nodes = outcome.Branch_bound.nodes;
-        lp_solves = outcome.Branch_bound.lp_solves;
-        warm_hits = outcome.Branch_bound.warm_hits;
-        cold_solves = outcome.Branch_bound.cold_solves;
-        pivots = outcome.Branch_bound.pivots;
-        shadow_pivots = outcome.Branch_bound.shadow_pivots;
-        refactorizations = outcome.Branch_bound.refactorizations;
+        nodes = work.nodes;
+        lp_solves = work.nodes;
+        warm_hits = work.warm_hits;
+        pivots = work.pivots;
+        refactorizations = work.refactorizations;
         warm_height = e.e_warm_height;
         step_height = Skyline.max_height !skyline;
         step_time = Unix.gettimeofday () -. step_start;
@@ -688,18 +677,17 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
       else begin
         (* Several candidates: one per pool task, each MILP sequential
            inside its task — pool batches must not nest. *)
-        let milp1 = { milp with Branch_bound.jobs = 1 } in
         match pool with
         | Some p -> (
-          try Pool.map p ~n:n_cand (fun ~worker:_ k -> eval1 ~pool:None ~milp:milp1 k)
+          try Pool.map p ~n:n_cand (fun ~worker:_ k -> eval1 ~pool:None ~milp k)
           with
           | Abort -> raise Abort
           | exn ->
             (* The pool itself failed; evaluate sequentially on the
                calling domain instead of giving up on the step. *)
             worker_failure := Some (Printexc.to_string exn);
-            Array.init n_cand (eval1 ~pool:None ~milp:milp1))
-        | None -> Array.init n_cand (eval1 ~pool:None ~milp:milp1)
+            Array.init n_cand (eval1 ~pool:None ~milp))
+        | None -> Array.init n_cand (eval1 ~pool:None ~milp)
       end
     in
     let failures = ref [] in

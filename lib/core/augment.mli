@@ -57,13 +57,9 @@ type step_stat = {
   num_cover_rects : int;
   milp_status : Fp_milp.Branch_bound.status;
   nodes : int;
-  lp_solves : int;
+  lp_solves : int;               (** node LPs solved; always [nodes] *)
   warm_hits : int;               (** node LPs answered from the parent basis *)
-  cold_solves : int;             (** node LPs solved from scratch *)
   pivots : int;                  (** total simplex pivots (primal + dual) *)
-  shadow_pivots : int;
-      (** cold-engine pivots on the same node sequence; [0] unless
-          {!Fp_milp.Branch_bound.params}[.shadow_cold] *)
   refactorizations : int;        (** basis refactorizations across node LPs *)
   warm_height : float;           (** bottom-left incumbent height *)
   step_height : float;           (** chip height after this step *)
@@ -221,7 +217,7 @@ type result = {
 
 val config_digest : config -> string
 (** Hex MD5 of the configuration fields that shape the placement
-    trajectory.  Excludes [jobs] (and the MILP's worker fields) —
+    trajectory.  Excludes [jobs] (and the MILP's [ramp_nodes]) —
     determinism holds across worker counts, so a checkpoint taken at
     [--jobs 4] may be resumed at [--jobs 1] — and the observational
     fields ([check], [inspect], [checkpoint]); closures contribute

@@ -86,9 +86,6 @@ let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
     let pivots =
       List.fold_left (fun a s -> a + s.Augment.pivots) 0 res.Augment.steps
     in
-    let lp_solves =
-      List.fold_left (fun a s -> a + s.Augment.lp_solves) 0 res.Augment.steps
-    in
     Solver.finalize ~engine:"milp" ~scenario:sc ~t0 ~work
       ~complete:(not res.Augment.interrupted)
       ~degradations:res.Augment.degradations
@@ -96,7 +93,6 @@ let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
         [
           ("nodes", float_of_int work);
           ("pivots", float_of_int pivots);
-          ("lp_solves", float_of_int lp_solves);
           ("steps", float_of_int (List.length res.Augment.steps));
         ]
       nl (Some pl)

@@ -720,14 +720,14 @@ let finish prob st result =
               basis = snapshot_of st }
   | r -> r
 
-let solve ?max_iters prob =
+let solve prob =
   if Fault.fire site_iteration_limit then
     ( Iteration_limit,
       { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
         warm = false } )
   else begin
   let std = standardize prob in
-  let budget = match max_iters with Some b -> b | None -> default_budget std in
+  let budget = default_budget std in
   let result, st, pivots, refac = run_cold std ~budget in
   let result =
     match st with Some st -> finish prob st result | None -> result
@@ -741,14 +741,14 @@ let valid_snapshot snap std =
   snap.sm = std.m && snap.sn = std.n
   && Array.for_all (fun e -> e >= 0 && e < std.n) snap.sbasis
 
-let solve_from ?max_iters snap prob =
+let solve_from snap prob =
   if Fault.fire site_iteration_limit then
     ( Iteration_limit,
       { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
         warm = true } )
   else begin
   let std = standardize prob in
-  let budget = match max_iters with Some b -> b | None -> default_budget std in
+  let budget = default_budget std in
   let cold ~dual_pivots ~refac0 =
     let result, st, pivots, refac = run_cold std ~budget in
     let result =

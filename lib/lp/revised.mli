@@ -41,12 +41,13 @@ type stats = {
           [false] on a cold solve or after a fallback. *)
 }
 
-val solve : ?max_iters:int -> Lp_problem.t -> result * stats
+val solve : Lp_problem.t -> result * stats
 (** Cold solve: logical starting basis, primal phase 1 (violated bound
     sides relaxed with unit costs) when needed, then primal phase 2.
-    Default budget is [50 * (rows + cols) + 2000] pivots. *)
+    The pivot budget is [50 * (rows + cols) + 2000]; running out of it
+    returns [Iteration_limit]. *)
 
-val solve_from : ?max_iters:int -> snapshot -> Lp_problem.t -> result * stats
+val solve_from : snapshot -> Lp_problem.t -> result * stats
 (** Warm solve from a previous optimal basis.  When the snapshot is
     still dual feasible (always true after a bound-only change), runs
     the dual simplex to repair primal feasibility; otherwise restarts

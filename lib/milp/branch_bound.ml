@@ -16,18 +16,10 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let site_budget = Fault.register "branch_bound.budget"
 let site_task_loss = Fault.register "branch_bound.task_loss"
 
-type branch_rule = Most_fractional | First_fractional
-
 type params = {
   node_limit : int;
   time_limit : float;
-  int_tol : float;
   min_improvement : float;
-  log : bool;
-  branch_rule : branch_rule;
-  warm_lp : bool;
-  shadow_cold : bool;
-  jobs : int;
   ramp_nodes : int;
   propagate : bool;
 }
@@ -36,45 +28,45 @@ let default_params =
   {
     node_limit = 200_000;
     time_limit = 120.;
-    int_tol = 1e-6;
     min_improvement = 1e-7;
-    log = false;
-    branch_rule = Most_fractional;
-    warm_lp = true;
-    shadow_cold = false;
-    jobs = 1;
     ramp_nodes = 32;
     propagate = false;
   }
 
+(* Integrality tolerance: a value this close to an integer counts as
+   integral for branching, warm-start acceptance and pseudo points. *)
+let int_tol = 1e-6
+
 type status = Optimal | Feasible | Infeasible | Unbounded | No_solution
 
-type domain_work = {
-  d_nodes : int;
-  d_lp_solves : int;
-  d_warm_hits : int;
-  d_cold_solves : int;
-  d_refactorizations : int;
-  d_pivots : int;
-  d_shadow_pivots : int;
-  d_numerical_recoveries : int;
+type work = {
+  nodes : int;
+  warm_hits : int;
+  pivots : int;
+  refactorizations : int;
+  numerical_recoveries : int;
 }
+
+let no_work =
+  { nodes = 0; warm_hits = 0; pivots = 0; refactorizations = 0;
+    numerical_recoveries = 0 }
+
+let add_work a b =
+  {
+    nodes = a.nodes + b.nodes;
+    warm_hits = a.warm_hits + b.warm_hits;
+    pivots = a.pivots + b.pivots;
+    refactorizations = a.refactorizations + b.refactorizations;
+    numerical_recoveries = a.numerical_recoveries + b.numerical_recoveries;
+  }
 
 type outcome = {
   status : status;
   best : (float array * float) option;
-  nodes : int;
-  lp_solves : int;
-  warm_hits : int;
-  cold_solves : int;
-  refactorizations : int;
-  pivots : int;
-  shadow_pivots : int;
-  numerical_recoveries : int;
+  work : work;
   tasks_lost : int;
   root_bound : float;
-  elapsed : float;
-  per_domain : domain_work array;
+  per_domain : work array;
   frontier_tasks : int;
   waves : int;
 }
@@ -100,20 +92,10 @@ type search = {
   is_integer : int -> bool;     (* integer-variable membership, for
                                    bound snapping during propagation *)
   deadline : float;
-  mutable node_budget : int;    (* this search stops at [nodes >= node_budget] *)
+  mutable node_budget : int;    (* stop at [work.nodes >= node_budget] *)
   mutable capture : (task -> unit) option;
   mutable ramp_limit : int;     (* capture instead of exploring beyond this *)
-  mutable nodes : int;
-  mutable lp_solves : int;
-  mutable warm_hits : int;
-  mutable cold_solves : int;
-  mutable refactorizations : int;
-  mutable pivots : int;
-  mutable shadow_pivots : int;
-  mutable numerical_recoveries : int;
-      (* node LPs that needed a recovery path: a requested warm start
-         that fell back to a cold solve, or an LP that hit its own
-         iteration limit and was handled via the parent-bound retreat *)
+  mutable work : work;          (* everything this domain's search did *)
   mutable best_m : float;       (* incumbent objective, minimized form *)
   mutable best_x : float array option;
   mutable out_of_budget : bool;
@@ -127,32 +109,18 @@ let fractionality x v =
   let f = x.(v) -. Float.round x.(v) in
   Float.abs f
 
-(* Branch variable per the configured rule, or None when integral. *)
+(* Branch on the first fractional integer variable in declaration order,
+   or None when the point is integral — the modeler encodes "decide the
+   big modules first" by declaring their variables first. *)
 let pick_branch_var s x =
-  match s.prm.branch_rule with
-  | Most_fractional ->
-    let best = ref (-1) and best_f = ref s.prm.int_tol in
-    List.iter
-      (fun v ->
-        let f = fractionality x v in
-        if f > !best_f then begin
-          best_f := f;
-          best := v
-        end)
-      (Model.integer_vars s.model);
-    if !best < 0 then None else Some !best
-  | First_fractional ->
-    List.find_opt
-      (fun v -> fractionality x v > s.prm.int_tol)
-      (Model.integer_vars s.model)
+  List.find_opt
+    (fun v -> fractionality x v > int_tol)
+    (Model.integer_vars s.model)
 
 let update_incumbent s x m =
   if m < s.best_m -. s.prm.min_improvement then begin
     s.best_m <- m;
-    s.best_x <- Some (Array.copy x);
-    if s.prm.log then
-      Log.info (fun f ->
-          f "incumbent %.6g after %d nodes" (s.sense_mult *. m) s.nodes)
+    s.best_x <- Some (Array.copy x)
   end
 
 (* Explore under temporarily tightened bounds; always restores. *)
@@ -171,52 +139,46 @@ let with_bounds s settings k =
     k
 
 let budget_exhausted s =
-  s.nodes >= s.node_budget
+  s.work.nodes >= s.node_budget
   || Unix.gettimeofday () > s.deadline
   || Fault.fire site_budget
 
-(* One LP relaxation: warm-start from the parent's optimal basis via the
-   dual simplex when available (bound-only changes keep it dual
-   feasible), cold otherwise.  [Revised.solve_from] falls back to a cold
-   solve internally on singular or stale bases; stats.warm records which
-   path actually produced the answer. *)
+(* One node: its LP relaxation, warm-started from the parent's optimal
+   basis via the dual simplex when there is one (bound-only changes keep
+   it dual feasible), cold at the root.  [Revised.solve_from] falls back
+   to a cold solve internally on singular or stale bases; stats.warm
+   records which path actually produced the answer.  A recovery is a
+   requested warm start that fell back to a cold solve, or an LP that
+   hit its own iteration limit (handled via the parent-bound retreat). *)
 let solve_node_lp s parent_basis =
-  s.lp_solves <- s.lp_solves + 1;
-  let warm_requested =
-    match parent_basis with Some _ -> s.prm.warm_lp | None -> false
-  in
   let result, (st : Revised.stats) =
-    if warm_requested then Revised.solve_from (Option.get parent_basis) s.prob
-    else Revised.solve s.prob
+    match parent_basis with
+    | Some basis -> Revised.solve_from basis s.prob
+    | None -> Revised.solve s.prob
   in
-  s.pivots <- s.pivots + st.primal_pivots + st.dual_pivots;
-  s.refactorizations <- s.refactorizations + st.refactorizations;
-  if st.warm then s.warm_hits <- s.warm_hits + 1
-  else s.cold_solves <- s.cold_solves + 1;
-  if
-    (warm_requested && not st.warm)
+  let recovered =
+    (Option.is_some parent_basis && not st.warm)
     || (match result with Revised.Iteration_limit -> true | _ -> false)
-  then s.numerical_recoveries <- s.numerical_recoveries + 1;
-  (* Shadow accounting: price the identical subproblem with a cold solve
-     (discarding its answer) so warm and cold engines are compared on the
-     same search tree.  [Revised.solve] only reads the problem, so the
-     search itself is unaffected. *)
-  if s.prm.shadow_cold then begin
-    if st.warm then begin
-      let _, (cst : Revised.stats) = Revised.solve s.prob in
-      s.shadow_pivots <- s.shadow_pivots + cst.primal_pivots + cst.dual_pivots
-    end
-    else s.shadow_pivots <- s.shadow_pivots + st.primal_pivots + st.dual_pivots
-  end;
+  in
+  let w = s.work in
+  s.work <-
+    {
+      nodes = w.nodes + 1;
+      warm_hits = (w.warm_hits + if st.warm then 1 else 0);
+      pivots = w.pivots + st.primal_pivots + st.dual_pivots;
+      refactorizations = w.refactorizations + st.refactorizations;
+      numerical_recoveries =
+        (w.numerical_recoveries + if recovered then 1 else 0);
+    };
   result
 
 (* A stand-in LP point when the node's LP failed: every unfixed integer
-   variable sits strictly between its bounds so the branching rules see
+   variable sits strictly between its bounds so the branching rule sees
    it as fractional; fixed variables take their value. *)
 let pseudo_point s =
   Array.init (Lp_problem.num_vars s.prob) (fun v ->
       let lb = Lp_problem.var_lb s.prob v and ub = Lp_problem.var_ub s.prob v in
-      if ub -. lb <= s.prm.int_tol then lb
+      if ub -. lb <= int_tol then lb
       else if lb > neg_infinity then lb +. 0.5
       else if ub < infinity then ub -. 0.5
       else 0.5)
@@ -270,7 +232,7 @@ let propagate_node s =
    domain's copy of the problem. *)
 let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
   match s.capture with
-  | Some push when s.nodes >= s.ramp_limit ->
+  | Some push when s.work.nodes >= s.ramp_limit ->
     (* Ramp-up budget spent: hand the whole pending subtree to the pool
        instead of exploring it.  Captures happen in DFS order, so task
        order is exactly the order the sequential search would have
@@ -291,7 +253,6 @@ let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
               undo)
           (fun () ->
             let trail = List.rev_append applied trail in
-            s.nodes <- s.nodes + 1;
             expand s ~depth ~trail ~parent_basis ~parent_bound
               (solve_node_lp s parent_basis))
     end
@@ -348,8 +309,7 @@ and branch s ~depth ~trail x v ~basis ~bound =
           ~parent_basis:basis ~parent_bound:bound)
   in
   match Hashtbl.find_opt s.partner v with
-  | Some w when fractionality x v > s.prm.int_tol
-             || fractionality x w > s.prm.int_tol ->
+  | Some w when fractionality x v > int_tol || fractionality x w > int_tol ->
     (* 4-way branching on the disjunction pair (v, w): each child fixes a
        combination, visiting the combination closest to the LP point
        first. *)
@@ -380,33 +340,6 @@ and branch s ~depth ~trail x v ~basis ~bound =
       down ()
     end
 
-let work_of s =
-  {
-    d_nodes = s.nodes; d_lp_solves = s.lp_solves; d_warm_hits = s.warm_hits;
-    d_cold_solves = s.cold_solves; d_refactorizations = s.refactorizations;
-    d_pivots = s.pivots; d_shadow_pivots = s.shadow_pivots;
-    d_numerical_recoveries = s.numerical_recoveries;
-  }
-
-let sum_work ws =
-  Array.fold_left
-    (fun a w ->
-      {
-        d_nodes = a.d_nodes + w.d_nodes;
-        d_lp_solves = a.d_lp_solves + w.d_lp_solves;
-        d_warm_hits = a.d_warm_hits + w.d_warm_hits;
-        d_cold_solves = a.d_cold_solves + w.d_cold_solves;
-        d_refactorizations = a.d_refactorizations + w.d_refactorizations;
-        d_pivots = a.d_pivots + w.d_pivots;
-        d_shadow_pivots = a.d_shadow_pivots + w.d_shadow_pivots;
-        d_numerical_recoveries =
-          a.d_numerical_recoveries + w.d_numerical_recoveries;
-      })
-    { d_nodes = 0; d_lp_solves = 0; d_warm_hits = 0; d_cold_solves = 0;
-      d_refactorizations = 0; d_pivots = 0; d_shadow_pivots = 0;
-      d_numerical_recoveries = 0 }
-    ws
-
 (* ------------------------------------------------------------------ *)
 (* Parallel task execution                                             *)
 (* ------------------------------------------------------------------ *)
@@ -433,8 +366,8 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
   s.best_x <- None;
   s.out_of_budget <- false;
   s.bound_incomplete <- false;
-  let nodes_before = s.nodes in
-  s.node_budget <- s.nodes + budget;
+  let nodes_before = s.work.nodes in
+  s.node_budget <- nodes_before + budget;
   List.iter
     (fun (v, lb, ub) -> Lp_problem.set_bounds s.prob v ~lb ~ub)
     task.t_trail;
@@ -447,7 +380,7 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
     (fun () ->
       explore s ~depth:task.t_depth ~trail:[] ~parent_basis:task.t_basis
         ~parent_bound:task.t_bound);
-  let nodes_used = s.nodes - nodes_before in
+  let nodes_used = s.work.nodes - nodes_before in
   {
     r_entry = entry;
     r_budget = budget;
@@ -494,9 +427,8 @@ let solve_frontier s ~pool ~mk_search ~tasks ~finish =
   let state_of worker = states.(worker) in
   let n = Array.length tasks in
   let results : task_result option array = Array.make n None in
-  let ramp_nodes = s.nodes in
   let chain_m = ref s.best_m and chain_x = ref s.best_x in
-  let consumed = ref ramp_nodes in
+  let consumed = ref s.work.nodes in
   let out_of_budget = ref s.out_of_budget in
   let bound_incomplete = ref s.bound_incomplete in
   let waves = ref 0 in
@@ -599,11 +531,8 @@ let solve_frontier s ~pool ~mk_search ~tasks ~finish =
   s.best_x <- !chain_x;
   s.out_of_budget <- !out_of_budget;
   s.bound_incomplete <- !bound_incomplete;
-  let per_domain =
-    Array.map work_of states
-  in
+  let per_domain = Array.map (fun st -> st.work) states in
   finish ~per_domain ~waves:!waves ~tasks_lost:!tasks_lost
-    ~total:(sum_work per_domain)
 
 let solve ?(params = default_params) ?warm ?pool model =
   let prob = Model.problem model in
@@ -623,20 +552,17 @@ let solve ?(params = default_params) ?warm ?pool model =
     List.iter (fun v -> a.(v) <- true) (Model.integer_vars model);
     fun v -> v < Array.length a && a.(v)
   in
-  let jobs =
-    match pool with Some p -> Pool.jobs p | None -> Int.max 1 params.jobs
+  (* A pool of one worker cannot run a frontier in parallel. *)
+  let pool =
+    match pool with Some p when Pool.jobs p > 1 -> Some p | _ -> None
   in
-  let parallel = jobs > 1 in
   let start = Unix.gettimeofday () in
   let mk_search prob =
     {
       model; prob; prm = params; sense_mult; partner; is_integer;
       deadline = start +. params.time_limit;
       node_budget = params.node_limit; capture = None;
-      ramp_limit = max_int;
-      nodes = 0; lp_solves = 0;
-      warm_hits = 0; cold_solves = 0; refactorizations = 0; pivots = 0;
-      shadow_pivots = 0; numerical_recoveries = 0;
+      ramp_limit = max_int; work = no_work;
       best_m = infinity; best_x = None;
       out_of_budget = false; root_unbounded = false; bound_incomplete = false;
     }
@@ -646,7 +572,7 @@ let solve ?(params = default_params) ?warm ?pool model =
   (match warm with
   | Some x
     when Array.length x = Model.num_vars model
-         && Model.integral ~tol:params.int_tol model x
+         && Model.integral ~tol:int_tol model x
          && Lp_problem.constraint_violation prob x <= 1e-5 ->
     let m =
       sense_mult
@@ -661,13 +587,12 @@ let solve ?(params = default_params) ?warm ?pool model =
      have been spent, pending subtrees are queued (in DFS order, which is
      the order the sequential search would visit them) instead of
      explored. *)
-  let tasks_rev = ref [] and n_tasks = ref 0 in
-  if parallel then begin
-    s.capture <- Some (fun t -> tasks_rev := t :: !tasks_rev; incr n_tasks);
+  let tasks_rev = ref [] in
+  if Option.is_some pool then begin
+    s.capture <- Some (fun t -> tasks_rev := t :: !tasks_rev);
     s.ramp_limit <- Int.min params.ramp_nodes params.node_limit
   end;
-  let finish ~root_bound ~per_domain ~frontier ~waves ~tasks_lost ~total =
-    let elapsed = Unix.gettimeofday () -. start in
+  let finish ~root_bound ~per_domain ~frontier ~waves ~tasks_lost =
     let best = Option.map (fun x -> (x, s.sense_mult *. s.best_m)) s.best_x in
     let status =
       if s.root_unbounded then Unbounded
@@ -679,22 +604,17 @@ let solve ?(params = default_params) ?warm ?pool model =
         | None, true -> No_solution
     in
     {
-      status; best; nodes = total.d_nodes; lp_solves = total.d_lp_solves;
-      warm_hits = total.d_warm_hits; cold_solves = total.d_cold_solves;
-      refactorizations = total.d_refactorizations; pivots = total.d_pivots;
-      shadow_pivots = total.d_shadow_pivots;
-      numerical_recoveries = total.d_numerical_recoveries; tasks_lost;
-      root_bound; elapsed; per_domain; frontier_tasks = frontier; waves;
+      status; best; work = Array.fold_left add_work no_work per_domain;
+      tasks_lost; root_bound; per_domain; frontier_tasks = frontier; waves;
     }
   in
   let seq_finish ~root_bound =
-    let w = work_of s in
-    finish ~root_bound ~per_domain:[| w |] ~frontier:0 ~waves:0 ~tasks_lost:0
-      ~total:w
+    finish ~root_bound ~per_domain:[| s.work |] ~frontier:0 ~waves:0
+      ~tasks_lost:0
   in
   if budget_exhausted s then begin
     (* Exhausted before the root LP: report without solving anything, so
-       nodes and lp_solves stay exact (both 0). *)
+       the node count stays exact (0). *)
     s.out_of_budget <- true;
     seq_finish ~root_bound:nan
   end
@@ -702,7 +622,6 @@ let solve ?(params = default_params) ?warm ?pool model =
     (* Root LP: solved exactly once, reused both for the reported root
        bound and as the root node of the search. *)
     let root_result = solve_node_lp s None in
-    s.nodes <- s.nodes + 1;
     let root_bound =
       match root_result with
       | Revised.Optimal { obj; _ } ->
@@ -717,19 +636,13 @@ let solve ?(params = default_params) ?warm ?pool model =
         root_result;
       s.capture <- None;
       let tasks = Array.of_list (List.rev !tasks_rev) in
-      if Array.length tasks = 0 then
+      match pool with
+      | Some pool when Array.length tasks > 0 ->
+        solve_frontier s ~pool ~mk_search ~tasks
+          ~finish:(finish ~root_bound:(sense_mult *. root_bound)
+                     ~frontier:(Array.length tasks))
+      | _ ->
         (* Sequential run, or a ramp-up that exhausted the whole tree. *)
         seq_finish ~root_bound:(sense_mult *. root_bound)
-      else
-        let frontier pool =
-          solve_frontier s ~pool ~mk_search ~tasks
-            ~finish:(fun ~per_domain ~waves ~tasks_lost ~total ->
-              finish ~root_bound:(sense_mult *. root_bound) ~per_domain
-                ~frontier:!n_tasks ~waves ~tasks_lost ~total)
-        in
-        match pool with
-        | Some pool -> frontier pool
-        | None -> Pool.with_pool ~jobs frontier
     end
   end
-

@@ -20,10 +20,11 @@
     - node- and time-budgets: when exhausted the best incumbent is
       returned with status [Feasible], mirroring how LINDO was used on a
       4-MIPS Apollo workstation;
-    - optional multi-domain search ([jobs > 1]): a short sequential
-      ramp-up captures the unexplored frontier, whose subtrees are then
-      explored on a {!Fp_util.Pool} of domains, each with its own copy
-      of the problem and its own simplex state.
+    - optional multi-domain search (a {!Fp_util.Pool} of more than one
+      worker passed to {!solve}): a short sequential ramp-up captures
+      the unexplored frontier, whose subtrees are then explored on the
+      pool's domains, each with its own copy of the problem and its own
+      simplex state.
 
     The search is deterministic given the model and parameters: the
     parallel search replays the sequential one exactly (same incumbent,
@@ -41,42 +42,16 @@
     exact sequential contract (counted in [tasks_lost]).  See
     [docs/robustness.md]. *)
 
-type branch_rule =
-  | Most_fractional
-      (** branch on the integer variable farthest from integrality *)
-  | First_fractional
-      (** branch on the first fractional integer variable in declaration
-          order — lets the modeler encode "decide the big modules first"
-          by declaration order *)
-
 type params = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 200_000) *)
   time_limit : float;      (** seconds (default 120.) *)
-  int_tol : float;         (** integrality tolerance (default 1e-6) *)
   min_improvement : float; (** required objective improvement before a node
                                survives pruning; raising it trades quality
                                for speed (default 1e-7) *)
-  log : bool;              (** emit progress on [Logs] (default false) *)
-  branch_rule : branch_rule;  (** default [Most_fractional] *)
-  warm_lp : bool;
-      (** warm-start child LPs from the parent basis (default [true]);
-          [false] forces a cold solve at every node — used by the
-          warm-start ablation bench *)
-  shadow_cold : bool;
-      (** additionally solve every node LP cold, discarding the answer
-          and accumulating its pivots in [shadow_pivots] (default
-          [false]).  Gives the warm-start ablation a matched-tree
-          comparison: both engines priced on the identical sequence of
-          subproblems, same floorplan by construction.  Roughly doubles
-          node cost; never use outside benchmarking. *)
-  jobs : int;
-      (** number of domains to search on (default [1], fully
-          sequential).  Ignored when a [pool] is passed to {!solve} —
-          the pool's size wins. *)
   ramp_nodes : int;
       (** nodes explored sequentially before the frontier is handed to
           the pool (default [32]).  Larger values seed more, smaller
-          tasks; only meaningful when [jobs > 1]. *)
+          tasks; only meaningful when {!solve} gets a [pool]. *)
   propagate : bool;
       (** run {!Fp_lp.Lp_problem.propagate_bounds} (interval propagation
           with integer snapping) at every node before its LP (default
@@ -88,6 +63,11 @@ type params = {
           replay stays bit-identical.  Enabled by the [Tight]
           formulation mode. *)
 }
+(** The search itself is fixed: child LPs warm-start from the parent
+    basis, the branching variable is the first fractional integer
+    variable in declaration order (so a modeler encodes "decide the big
+    modules first" by declaration order), and a value within [1e-6] of
+    an integer counts as integral. *)
 
 val default_params : params
 
@@ -99,54 +79,46 @@ type status =
   | Unbounded     (** LP relaxation unbounded at the root *)
   | No_solution   (** budget exhausted before any incumbent was found *)
 
-type domain_work = {
-  d_nodes : int;
-  d_lp_solves : int;
-  d_warm_hits : int;
-  d_cold_solves : int;
-  d_refactorizations : int;
-  d_pivots : int;
-  d_shadow_pivots : int;
-  d_numerical_recoveries : int;
-}
-(** Per-domain slice of the search-effort counters.  This counts {e all}
-    work a domain performed, including speculation that was later
-    discarded by the replay — the honest parallel cost, not the
-    sequential-equivalent cost. *)
-
-type outcome = {
-  status : status;
-  best : (float array * float) option;
-      (** incumbent point and objective (original sense, constant
-          included) *)
+type work = {
   nodes : int;
-      (** nodes whose LP relaxation was evaluated; always equal to
-          [lp_solves] *)
-  lp_solves : int;
+      (** nodes whose LP relaxation was solved — one LP per node *)
   warm_hits : int;
-      (** node LPs answered from the parent basis (dual-simplex path) *)
-  cold_solves : int;
-      (** node LPs solved from scratch, including warm-start fallbacks *)
-  refactorizations : int;
-      (** basis refactorizations across all node LPs *)
+      (** node LPs answered from the parent basis (dual-simplex path);
+          the other [nodes - warm_hits] were solved from scratch *)
   pivots : int;
       (** total simplex pivots (primal + dual) across all node LPs *)
-  shadow_pivots : int;
-      (** pivots the cold engine spent on the same node sequence; [0]
-          unless [shadow_cold] was set *)
+  refactorizations : int;
+      (** basis refactorizations across all node LPs *)
   numerical_recoveries : int;
       (** node LPs that needed a recovery path: a requested warm start
           that fell back to a cold solve (singular or stale basis), or
           an LP that hit its own iteration limit and was handled via the
           parent-bound retreat.  Nonzero values mean the answer is still
           trustworthy but the numerics were stressed. *)
+}
+(** Search effort.  One record counts a domain's work while it
+    searches, is that domain's [per_domain] entry, and (summed over the
+    domains) is the outcome's total. *)
+
+val no_work : work
+(** All counters zero. *)
+
+type outcome = {
+  status : status;
+  best : (float array * float) option;
+      (** incumbent point and objective (original sense, constant
+          included) *)
+  work : work;
+      (** the sum of [per_domain]: {e all} work the search performed,
+          including parallel speculation that the replay later discarded
+          — the honest parallel cost, not the sequential-equivalent
+          cost *)
   tasks_lost : int;
       (** frontier-task results that vanished (worker failure or
           injected fault) and were re-run inline; [0] in healthy runs *)
   root_bound : float;
       (** LP-relaxation bound at the root, original sense *)
-  elapsed : float;
-  per_domain : domain_work array;
+  per_domain : work array;
       (** one entry per worker domain (entry [0] is the calling domain,
           which also performed the ramp-up); a single entry for
           sequential runs *)
@@ -166,10 +138,9 @@ val solve :
     be feasible and integral (checked; silently ignored otherwise — a
     bad warm start must never corrupt the search).
 
-    [pool], when given, supplies the worker domains for [jobs > 1] (and
-    overrides [params.jobs] with its size); otherwise a private
-    {!Fp_util.Pool.with_pool} brackets the frontier phase.  Passing a shared
-    pool amortizes domain spawning across many [solve] calls — the
-    successive-augmentation driver does exactly that.  The caller must
-    not invoke [solve] with the same pool from two domains at once (see
-    {!Fp_util.Pool.run} on nesting). *)
+    [pool], when given with more than one worker, runs the search on
+    its domains; without it the search is sequential.  The caller owns
+    the pool, so one pool amortizes domain spawning across many [solve]
+    calls — [Fp_core.Augment.run] does exactly that.  The
+    caller must not invoke [solve] with the same pool from two domains
+    at once (see {!Fp_util.Pool.run} on nesting). *)

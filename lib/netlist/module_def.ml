@@ -6,17 +6,24 @@ type shape =
 
 type t = { id : int; name : string; shape : shape }
 
+(* Non-finite values fail every comparison, so [Tol] alone would let
+   nan through. *)
+let positive x = Float.is_finite x && not (Tol.leq x 0.)
+
 let rigid ~id ~name ~w ~h =
-  if Tol.leq w 0. || Tol.leq h 0. then
+  if not (positive w && positive h) then
     invalid_arg
       (Printf.sprintf "Module_def.rigid %s: non-positive dims %gx%g" name w h);
   { id; name; shape = Rigid { w; h } }
 
 let flexible ~id ~name ~area ~min_aspect ~max_aspect =
-  if Tol.leq area 0. then
+  if not (positive area) then
     invalid_arg
       (Printf.sprintf "Module_def.flexible %s: non-positive area %g" name area);
-  if Tol.leq min_aspect 0. || Tol.lt max_aspect min_aspect then
+  if
+    not (positive min_aspect && positive max_aspect)
+    || Tol.lt max_aspect min_aspect
+  then
     invalid_arg
       (Printf.sprintf
          "Module_def.flexible %s: bad aspect interval [%g, %g]" name

@@ -15,13 +15,13 @@ type t = { id : int; name : string; shape : shape }
 (** [id] is the dense index of the module inside its {!Netlist.t}. *)
 
 val rigid : id:int -> name:string -> w:float -> h:float -> t
-(** @raise Invalid_argument on non-positive dimensions. *)
+(** @raise Invalid_argument on non-positive or non-finite dimensions. *)
 
 val flexible :
   id:int -> name:string -> area:float -> min_aspect:float ->
   max_aspect:float -> t
-(** @raise Invalid_argument on non-positive area or an empty aspect
-    interval. *)
+(** @raise Invalid_argument on a non-positive or non-finite area or
+    aspect bound, or an empty aspect interval. *)
 
 val area : t -> float
 (** Exact for rigid modules, the prescribed [S_i] for flexible ones. *)

@@ -10,10 +10,12 @@ type accum = {
   by_name : (string, int) Hashtbl.t;
 }
 
+(* [float_of_string] also reads "nan" and "inf"; no field of the format
+   has a use for them. *)
 let parse_float ~line what s =
   match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "line %d: bad %s %S" line what s)
+  | Some f when Float.is_finite f -> Ok f
+  | Some _ | None -> Error (Printf.sprintf "line %d: bad %s %S" line what s)
 
 let ( let* ) = Result.bind
 

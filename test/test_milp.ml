@@ -9,6 +9,27 @@ module Lp = Fp_lp.Lp_problem
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
+let work =
+  Alcotest.testable
+    (fun ppf (w : BB.work) ->
+      Format.fprintf ppf
+        "{nodes=%d; warm_hits=%d; pivots=%d; refactorizations=%d; \
+         numerical_recoveries=%d}"
+        w.nodes w.warm_hits w.pivots w.refactorizations w.numerical_recoveries)
+    ( = )
+
+let sum_work ws =
+  Array.fold_left
+    (fun (a : BB.work) (w : BB.work) ->
+      {
+        BB.nodes = a.nodes + w.nodes;
+        warm_hits = a.warm_hits + w.warm_hits;
+        pivots = a.pivots + w.pivots;
+        refactorizations = a.refactorizations + w.refactorizations;
+        numerical_recoveries = a.numerical_recoveries + w.numerical_recoveries;
+      })
+    BB.no_work ws
+
 let best_exn outcome =
   match outcome.BB.best with
   | Some (x, obj) -> (x, obj)
@@ -130,11 +151,12 @@ let test_infeasible_milp () =
   let outcome = BB.solve m in
   Alcotest.(check bool) "infeasible" true (outcome.BB.status = BB.Infeasible);
   Alcotest.(check bool) "no point" true (outcome.BB.best = None);
-  (* The root LP is still a node: [nodes = lp_solves] holds here too. *)
-  Alcotest.(check int) "nodes = lp_solves" outcome.BB.lp_solves
-    outcome.BB.nodes;
-  let w = outcome.BB.per_domain.(0) in
-  Alcotest.(check int) "domain nodes = lp_solves" w.BB.d_lp_solves w.BB.d_nodes
+  (* The root LP is still a node, solved cold, and the one domain's
+     slice is the whole total. *)
+  Alcotest.(check int) "root is one node" 1 outcome.BB.work.nodes;
+  Alcotest.(check int) "root LP cold" 0 outcome.BB.work.warm_hits;
+  Alcotest.(check (array work)) "one slice = total" [| outcome.BB.work |]
+    outcome.BB.per_domain
 
 let test_unbounded_milp () =
   let m = Model.create () in
@@ -152,7 +174,7 @@ let test_pure_lp_through_bb () =
   let outcome = BB.solve m in
   let _, obj = best_exn outcome in
   checkf "lp opt" 4. obj;
-  Alcotest.(check int) "one node" 1 outcome.BB.nodes
+  Alcotest.(check int) "one node" 1 outcome.BB.work.nodes
 
 let test_warm_start_accepted () =
   let m = Model.create () in
@@ -219,18 +241,31 @@ let test_constr_or_bound_folds_singletons () =
     (outcome.BB.status = BB.Infeasible)
 
 let test_budget_accounting_exact () =
-  (* Every counted node evaluates exactly one LP, and every LP is either
-     a warm hit or a cold solve — no double counting anywhere. *)
-  let m = Model.create () in
-  let x = Model.add_integer m ~lb:0. ~ub:10. "x" in
-  let y = Model.add_integer m ~lb:0. ~ub:10. "y" in
-  Model.add_constr m Expr.(var x + (2. * var y)) Model.Ge (Expr.const 7.);
-  Model.set_objective m `Minimize Expr.((3. * var x) + (4. * var y));
-  let outcome = BB.solve m in
-  Alcotest.(check int) "lp_solves = nodes" outcome.BB.nodes
-    outcome.BB.lp_solves;
-  Alcotest.(check int) "warm + cold = lp_solves" outcome.BB.lp_solves
-    (outcome.BB.warm_hits + outcome.BB.cold_solves)
+  (* One LP per node, the root cold; a node budget stops the search at
+     exactly that many nodes, and the work it reports repeats exactly. *)
+  let build () =
+    let m = Model.create () in
+    let x = Model.add_integer m ~lb:0. ~ub:10. "x" in
+    let y = Model.add_integer m ~lb:0. ~ub:10. "y" in
+    Model.add_constr m Expr.(var x + (2. * var y)) Model.Ge (Expr.const 7.);
+    Model.set_objective m `Minimize Expr.((3. * var x) + (4. * var y));
+    m
+  in
+  let full = BB.solve (build ()) in
+  Alcotest.(check (array work)) "one slice = total" [| full.BB.work |]
+    full.BB.per_domain;
+  Alcotest.(check bool) "root LP cold, children warm" true
+    (full.BB.work.warm_hits > 0 && full.BB.work.warm_hits < full.BB.work.nodes);
+  let limit = full.BB.work.nodes - 1 in
+  let cut =
+    BB.solve ~params:{ BB.default_params with BB.node_limit = limit } (build ())
+  in
+  Alcotest.(check int) "stops at the budget" limit cut.BB.work.nodes;
+  Alcotest.(check bool) "budget-bound status" true (cut.BB.status <> BB.Optimal);
+  let again =
+    BB.solve ~params:{ BB.default_params with BB.node_limit = limit } (build ())
+  in
+  Alcotest.(check work) "deterministic" cut.BB.work again.BB.work
 
 let test_pure_lp_single_solve () =
   (* The root LP must be solved exactly once, not once for the bound and
@@ -239,8 +274,8 @@ let test_pure_lp_single_solve () =
   let x = Model.add_continuous m ~ub:4. "x" in
   Model.set_objective m `Maximize (Expr.var x);
   let outcome = BB.solve m in
-  Alcotest.(check int) "one node" 1 outcome.BB.nodes;
-  Alcotest.(check int) "one lp solve" 1 outcome.BB.lp_solves
+  Alcotest.(check int) "one node" 1 outcome.BB.work.nodes;
+  Alcotest.(check int) "solved cold" 0 outcome.BB.work.warm_hits
 
 let test_zero_node_limit () =
   (* With a zero node budget nothing may be solved, not even the root. *)
@@ -249,61 +284,36 @@ let test_zero_node_limit () =
   Model.set_objective m `Maximize (Expr.var a);
   let params = { BB.default_params with BB.node_limit = 0 } in
   let outcome = BB.solve ~params m in
-  Alcotest.(check int) "no nodes" 0 outcome.BB.nodes;
-  Alcotest.(check int) "no lp solves" 0 outcome.BB.lp_solves;
+  Alcotest.(check work) "no work" BB.no_work outcome.BB.work;
   Alcotest.(check bool) "no solution" true
     (outcome.BB.status = BB.No_solution)
 
-let test_warm_lp_hits_and_ablation () =
-  (* A branched search warm-starts children from the parent basis; with
-     warm_lp disabled every node is a cold solve, and both modes must
-     find the same optimum. *)
-  let build () =
-    let m = Model.create () in
-    let vars =
-      List.init 6 (fun i -> Model.add_binary m (Printf.sprintf "b%d" i))
-    in
-    List.iteri
-      (fun i v ->
-        List.iteri
-          (fun j w ->
-            if j > i && (i + j) mod 2 = 1 then
-              Model.add_constr m
-                Expr.((2. * var v) + (2. * var w))
-                Model.Le (Expr.const 3.))
-          vars)
-      vars;
-    Model.set_objective m `Maximize
-      (Expr.sum
-         (List.mapi
-            (fun i v ->
-              let c = float_of_int (i + 1) in
-              Expr.(c * var v))
-            vars));
-    m
+let test_warm_hits () =
+  (* A branched search warm-starts children from the parent basis. *)
+  let m = Model.create () in
+  let vars =
+    List.init 6 (fun i -> Model.add_binary m (Printf.sprintf "b%d" i))
   in
-  let warm_out = BB.solve (build ()) in
-  let cold_params = { BB.default_params with BB.warm_lp = false } in
-  let cold_out = BB.solve ~params:cold_params (build ()) in
-  let _, warm_obj = best_exn warm_out in
-  let _, cold_obj = best_exn cold_out in
-  checkf "same optimum" cold_obj warm_obj;
-  Alcotest.(check bool) "warm path exercised" true (warm_out.BB.warm_hits > 0);
-  Alcotest.(check int) "no warm hits when disabled" 0 cold_out.BB.warm_hits;
-  Alcotest.(check int) "all cold when disabled" cold_out.BB.lp_solves
-    cold_out.BB.cold_solves;
-  (* Shadow mode prices every node cold on the side without disturbing
-     the search: identical tree and answer, nonzero shadow pivots. *)
-  Alcotest.(check int) "shadow off by default" 0 warm_out.BB.shadow_pivots;
-  let shadow_params = { BB.default_params with BB.shadow_cold = true } in
-  let shadow_out = BB.solve ~params:shadow_params (build ()) in
-  let _, shadow_obj = best_exn shadow_out in
-  checkf "shadow same optimum" warm_obj shadow_obj;
-  Alcotest.(check int) "shadow same tree" warm_out.BB.nodes shadow_out.BB.nodes;
-  Alcotest.(check int) "shadow same warm pivots" warm_out.BB.pivots
-    shadow_out.BB.pivots;
-  Alcotest.(check bool) "shadow cold pivots counted" true
-    (shadow_out.BB.shadow_pivots > 0)
+  List.iteri
+    (fun i v ->
+      List.iteri
+        (fun j w ->
+          if j > i && (i + j) mod 2 = 1 then
+            Model.add_constr m
+              Expr.((2. * var v) + (2. * var w))
+              Model.Le (Expr.const 3.))
+        vars)
+    vars;
+  Model.set_objective m `Maximize
+    (Expr.sum
+       (List.mapi
+          (fun i v ->
+            let c = float_of_int (i + 1) in
+            Expr.(c * var v))
+          vars));
+  let out = BB.solve m in
+  ignore (best_exn out);
+  Alcotest.(check bool) "warm path exercised" true (out.BB.work.warm_hits > 0)
 
 let test_pair_branching_used () =
   (* Exactly-one-of-four via a declared pair: constraints force the combo
@@ -318,38 +328,6 @@ let test_pair_branching_used () =
   checkf "obj" 2. obj;
   checkf "bx" 1. sol.(bx);
   checkf "by" 1. sol.(by)
-
-let test_branch_rules_agree () =
-  (* Same model solved under both branch rules gives the same optimum. *)
-  let build () =
-    let m = Model.create () in
-    let vars =
-      List.init 6 (fun i -> Model.add_binary m (Printf.sprintf "b%d" i))
-    in
-    List.iteri
-      (fun i v ->
-        let c = float_of_int (i + 1) in
-        Model.add_constr m Expr.(c * var v) Model.Le
-          (Expr.const (float_of_int i)))
-      vars;
-    Model.set_objective m `Maximize
-      (Expr.sum
-         (List.mapi
-            (fun i v ->
-              let c = float_of_int (i + 2) in
-              Expr.(c * var v))
-            vars));
-    m
-  in
-  let o1 =
-    BB.solve ~params:{ BB.default_params with BB.branch_rule = BB.Most_fractional }
-      (build ())
-  in
-  let o2 =
-    BB.solve ~params:{ BB.default_params with BB.branch_rule = BB.First_fractional }
-      (build ())
-  in
-  checkf "same optimum" (snd (best_exn o1)) (snd (best_exn o2))
 
 (* ------------------- brute-force cross-check ------------------------ *)
 
@@ -485,15 +463,18 @@ let build_random_milp (n, cc, rows) =
 
 (* ramp_nodes = 1 forces almost the whole tree through the frontier
    machinery even on these small instances, which is the path under
-   test; jobs > 1 actually spawns domains. *)
-let par_params = { BB.default_params with jobs = 4; ramp_nodes = 1 }
+   test; a pool of 4 actually spawns domains. *)
+let par_params = { BB.default_params with ramp_nodes = 1 }
 
 let test_parallel_deterministic_matches_sequential =
   QCheck.Test.make
     ~name:"deterministic jobs=4 replays jobs=1 bit-for-bit" ~count:75
     random_milp_arb (fun inst ->
       let seq = BB.solve ~params:BB.default_params (build_random_milp inst) in
-      let par = BB.solve ~params:par_params (build_random_milp inst) in
+      let par =
+        Fp_util.Pool.with_pool ~jobs:4 (fun pool ->
+            BB.solve ~params:par_params ~pool (build_random_milp inst))
+      in
       seq.BB.status = par.BB.status
       && (match (seq.BB.best, par.BB.best) with
          | None, None -> true
@@ -515,14 +496,14 @@ let frontier_model () =
   m
 
 let test_parallel_stats_cover_all_domains () =
-  let out = BB.solve ~params:par_params (frontier_model ()) in
+  let out =
+    Fp_util.Pool.with_pool ~jobs:4 (fun pool ->
+        BB.solve ~params:par_params ~pool (frontier_model ()))
+  in
   Alcotest.(check int) "one slice per domain" 4
     (Array.length out.BB.per_domain);
-  let sum f = Array.fold_left (fun a w -> a + f w) 0 out.BB.per_domain in
-  Alcotest.(check int) "nodes = sum of slices" out.BB.nodes
-    (sum (fun w -> w.BB.d_nodes));
-  Alcotest.(check int) "lp_solves = sum of slices" out.BB.lp_solves
-    (sum (fun w -> w.BB.d_lp_solves));
+  Alcotest.(check work) "total = sum of slices" out.BB.work
+    (sum_work out.BB.per_domain);
   Alcotest.(check bool) "frontier was used" true (out.BB.frontier_tasks > 0);
   Alcotest.(check bool) "at least one wave" true (out.BB.waves >= 1)
 
@@ -584,10 +565,8 @@ let () =
           Alcotest.test_case "pure LP single solve" `Quick
             test_pure_lp_single_solve;
           Alcotest.test_case "zero node limit" `Quick test_zero_node_limit;
-          Alcotest.test_case "warm hits + ablation" `Quick
-            test_warm_lp_hits_and_ablation;
+          Alcotest.test_case "warm hits" `Quick test_warm_hits;
           Alcotest.test_case "pair branching" `Quick test_pair_branching_used;
-          Alcotest.test_case "branch rules agree" `Quick test_branch_rules_agree;
           QCheck_alcotest.to_alcotest test_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest test_bb_solutions_integral;
         ] );

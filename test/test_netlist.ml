@@ -61,7 +61,28 @@ let test_module_validation () =
     (fun () ->
       ignore
         (Module_def.flexible ~id:0 ~name:"f" ~area:4. ~min_aspect:2.
-           ~max_aspect:1.))
+           ~max_aspect:1.));
+  (* nan fails every comparison, so it must be rejected explicitly. *)
+  List.iter
+    (fun (what, mk) ->
+      match mk () with
+      | (_ : Module_def.t) -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("nan width", fun () -> Module_def.rigid ~id:0 ~name:"r" ~w:nan ~h:3.);
+      ("inf height",
+       fun () -> Module_def.rigid ~id:0 ~name:"r" ~w:1. ~h:infinity);
+      ("nan area",
+       fun () ->
+         Module_def.flexible ~id:0 ~name:"f" ~area:nan ~min_aspect:0.5
+           ~max_aspect:2.);
+      ("nan aspect",
+       fun () ->
+         Module_def.flexible ~id:0 ~name:"f" ~area:4. ~min_aspect:nan
+           ~max_aspect:2.);
+      ("inf aspect",
+       fun () ->
+         Module_def.flexible ~id:0 ~name:"f" ~area:4. ~min_aspect:0.5
+           ~max_aspect:infinity) ]
 
 (* ------------------------------- nets ------------------------------- *)
 
@@ -254,7 +275,15 @@ let test_parser_errors () =
   expect_error "module a rigid 1 1\nnet n a:Q a:L" "bad side";
   expect_error "module a rigid 1 1\nnet n a:L b:R" "unknown module";
   expect_error "frobnicate yes" "unknown directive";
-  expect_error "module a rigid 1 1\nnet n a:L" "two pins"
+  expect_error "module a rigid 1 1\nnet n a:L" "two pins";
+  (* [float_of_string] reads these; no field may hold them. *)
+  expect_error "module a rigid nan 3" "line 1: bad width";
+  expect_error "module a rigid 2 inf" "line 1: bad height";
+  expect_error "module a rigid -inf 3" "bad width";
+  expect_error "module a flexible 4 nan 2" "bad min aspect";
+  expect_error "module a flexible 4 0.5 infinity" "bad max aspect";
+  expect_error "module a rigid 1 1\nmodule b rigid 1 1\nnet n crit=nan a:L b:R"
+    "line 3: bad criticality"
 
 (* ----------------------------- generator ---------------------------- *)
 
