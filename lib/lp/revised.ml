@@ -79,9 +79,18 @@ let standardize prob =
         (fun (c, v) -> if c <> 0. then acc.(v) <- (i, c) :: acc.(v))
         row.Lp_problem.terms)
     rows;
-  let cols = Array.make n [||] in
+  let col_start = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    col_start.(j + 1) <-
+      (col_start.(j) + if j < nstruct then List.length acc.(j) else 1)
+  done;
+  let row = Array.make col_start.(n) 0 and value = Array.make col_start.(n) 0. in
   for v = 0 to nstruct - 1 do
-    cols.(v) <- Array.of_list (List.rev acc.(v))
+    List.iteri
+      (fun k (i, c) ->
+        row.(col_start.(v) + k) <- i;
+        value.(col_start.(v) + k) <- c)
+      (List.rev acc.(v))
   done;
   let lo = Array.make n 0. and up = Array.make n 0. in
   let cost = Array.make n 0. and b = Array.make m 0. in
@@ -96,11 +105,12 @@ let standardize prob =
     cost.(v) <- sign *. Lp_problem.obj_coeff prob v
   done;
   Array.iteri
-    (fun i row ->
+    (fun i (r : Lp_problem.constr) ->
       let j = nstruct + i in
-      cols.(j) <- [| (i, 1.) |];
-      b.(i) <- row.Lp_problem.rhs;
-      match row.Lp_problem.cmp with
+      row.(col_start.(j)) <- i;
+      value.(col_start.(j)) <- 1.;
+      b.(i) <- r.rhs;
+      match r.cmp with
       | Lp_problem.Le ->
         lo.(j) <- 0.;
         up.(j) <- infinity
@@ -111,19 +121,52 @@ let standardize prob =
         lo.(j) <- 0.;
         up.(j) <- 0.)
     rows;
-  { m; n; nstruct; mat = { Basis.m; cols }; lo; up; cost; b }
+  { m; n; nstruct; mat = { Basis.m; col_start; row; value }; lo; up; cost; b }
 
 (* ------------------------------------------------------------------ *)
 (* Solver state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type state = {
+(* One workspace serves every solve of a problem: the standardization,
+   the basis (reloaded from each solve's factors) and the scratch
+   vectors are built once, and a solve re-reads only the structural
+   bounds. *)
+type workspace = {
+  prob : Lp_problem.t;
   std : std;
+  logical : Basis.factors;  (* the all-logical basis, B = I *)
   bas : Basis.t;
   stat : vstat array;  (* length n *)
   xb : float array;    (* length m, basic values by row position *)
-  y : float array;     (* length m, scratch for duals *)
+  y : float array;     (* length m, duals / phase-1 costs *)
+  d : float array;     (* length m, transformed entering column *)
+  rho : float array;   (* length m, dual simplex pivot row *)
 }
+
+let workspace prob =
+  let std = standardize prob in
+  let bas =
+    match Basis.create std.mat (Array.init std.m (fun i -> std.nstruct + i)) with
+    | Ok bas -> bas
+    | Error `Singular -> assert false (* an identity matrix *)
+  in
+  {
+    prob; std; logical = Basis.factors bas; bas;
+    stat = Array.make std.n VLower;
+    xb = Array.make std.m 0.; y = Array.make std.m 0.;
+    d = Array.make std.m 0.; rho = Array.make std.m 0.;
+  }
+
+(* The only part of the problem a search changes between solves. *)
+let load_bounds ws =
+  let prob = ws.prob and std = ws.std in
+  if Lp_problem.num_vars prob <> std.nstruct
+     || Lp_problem.num_constrs prob <> std.m
+  then invalid_arg "Revised: the problem changed shape after its workspace was built";
+  for v = 0 to std.nstruct - 1 do
+    std.lo.(v) <- Lp_problem.var_lb prob v;
+    std.up.(v) <- Lp_problem.var_ub prob v
+  done
 
 let nb_value st ~lo ~up j =
   match st.stat.(j) with
@@ -135,17 +178,20 @@ let nb_value st ~lo ~up j =
 (* Basic values from scratch: x_B = B^-1 (b - N x_N). *)
 let compute_xb st ~lo ~up =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
-  let rhs = Array.copy std.b in
+  let { Basis.col_start; row; value; _ } = std.mat in
+  let rhs = st.xb in
+  Array.blit std.b 0 rhs 0 std.m;
   for j = 0 to std.n - 1 do
     if st.stat.(j) <> VBasic then begin
       let v = nb_value st ~lo ~up j in
       if v <> 0. then
-        Array.iter (fun (i, c) -> rhs.(i) <- rhs.(i) -. (c *. v)) cols.(j)
+        for e = col_start.(j) to col_start.(j + 1) - 1 do
+          let i = row.(e) in
+          rhs.(i) <- rhs.(i) -. (value.(e) *. v)
+        done
     end
   done;
-  Basis.ftran st.bas rhs;
-  Array.blit rhs 0 st.xb 0 std.m
+  Basis.ftran st.bas rhs
 
 let compute_duals st ~cost =
   let basis = Basis.basis st.bas in
@@ -154,8 +200,18 @@ let compute_duals st ~cost =
   done;
   Basis.btran st.bas st.y
 
-let col_dot cols y j =
-  Array.fold_left (fun a (i, c) -> a +. (c *. y.(i))) 0. cols.(j)
+let col_dot (cols : Basis.mat) y j =
+  let acc = ref 0. in
+  for e = cols.col_start.(j) to cols.col_start.(j + 1) - 1 do
+    acc := !acc +. (cols.value.(e) *. y.(cols.row.(e)))
+  done;
+  !acc
+
+(* d <- column j of A, on a zeroed d. *)
+let scatter_col (cols : Basis.mat) d j =
+  for e = cols.col_start.(j) to cols.col_start.(j + 1) - 1 do
+    d.(cols.row.(e)) <- cols.value.(e)
+  done
 
 let primal_infeasibility st ~lo ~up =
   let basis = Basis.basis st.bas in
@@ -180,8 +236,8 @@ type phase = P_optimal | P_unbounded | P_iters | P_singular
    degenerate streak. *)
 let primal st ~cost ~lo ~up ~budget =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
-  let d = Array.make std.m 0. in
+  let cols = std.mat in
+  let d = st.d in
   let iters = ref 0 and streak = ref 0 and bland = ref false in
   let outcome = ref P_optimal in
   let running = ref true in
@@ -228,7 +284,7 @@ let primal st ~cost ~lo ~up ~budget =
           | VBasic -> assert false
         in
         Array.fill d 0 std.m 0.;
-        Array.iter (fun (i, c) -> d.(i) <- c) cols.(j);
+        scatter_col cols d j;
         Basis.ftran st.bas d;
         let basis = Basis.basis st.bas in
         let t_best = ref (up.(j) -. lo.(j)) in
@@ -321,9 +377,9 @@ let primal st ~cost ~lo ~up ~budget =
    bounds throughout, so feasibility, once reached, is genuine. *)
 let phase1 st ~budget =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
+  let cols = std.mat in
   let lo = std.lo and up = std.up in
-  let d = Array.make std.m 0. in
+  let d = st.d in
   let iters = ref 0 and streak = ref 0 and bland = ref false in
   let outcome = ref `Feasible in
   let running = ref true in
@@ -392,7 +448,7 @@ let phase1 st ~budget =
             | VBasic -> assert false
           in
           Array.fill d 0 std.m 0.;
-          Array.iter (fun (i, c) -> d.(i) <- c) cols.(j);
+          scatter_col cols d j;
           Basis.ftran st.bas d;
           let t_best = ref (up.(j) -. lo.(j)) in
           let leave = ref (-1) and leave_up = ref false in
@@ -496,10 +552,9 @@ type dual_outcome = D_feasible | D_infeasible | D_iters | D_singular
    opposite bound and become the next leaving candidate. *)
 let dual st ~budget =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
+  let cols = std.mat in
   let lo = std.lo and up = std.up in
-  let rho = Array.make std.m 0. in
-  let d = Array.make std.m 0. in
+  let rho = st.rho and d = st.d in
   let iters = ref 0 and streak = ref 0 and bland = ref false in
   let retries = ref 0 in
   let outcome = ref D_feasible in
@@ -574,7 +629,7 @@ let dual st ~budget =
         else begin
           let j = !best in
           Array.fill d 0 std.m 0.;
-          Array.iter (fun (i, c) -> d.(i) <- c) cols.(j);
+          scatter_col cols d j;
           Basis.ftran st.bas d;
           if Float.abs d.(r) <= ratio_tol then begin
             (* btran row and ftran column disagree: stale factors. *)
@@ -649,7 +704,7 @@ let snapshot_of st =
 
 let dual_feasible st =
   let std = st.std in
-  let cols = std.mat.Basis.cols in
+  let cols = std.mat in
   compute_duals st ~cost:std.cost;
   let ok = ref true in
   for j = 0 to std.n - 1 do
@@ -671,96 +726,98 @@ let dual_feasible st =
 
 let default_budget std = (50 * (std.m + std.n)) + 2000
 
-let fresh_state std bas stat =
-  { std; bas; stat; xb = Array.make std.m 0.; y = Array.make std.m 0. }
+let pending =
+  Optimal
+    { x = [||]; obj = 0.; basis = { sm = 0; sn = 0; sbasis = [||]; sstat = [||] } }
+
+(* A warm start shared by the solves that begin from one snapshot: the
+   first of them factorizes the snapshot's basis, the others reuse those
+   factors.  The factors belong to one workspace's matrix; [Basis.load]
+   refuses them anywhere else. *)
+type start = {
+  snap : snapshot;
+  mutable lu : (Basis.factors, [ `Singular ]) Stdlib.result option;
+}
+
+let start snap = { snap; lu = None }
+let start_snapshot s = s.snap
+
+let factors_of ws s =
+  match s.lu with
+  | Some lu -> lu
+  | None ->
+    let lu = Basis.factorize ws.bas s.snap.sbasis in
+    s.lu <- Some lu;
+    lu
 
 (* Cold solve: logical basis, composite phase 1 when the starting point
-   violates bounds, then phase 2 on the true costs. *)
-let run_cold std ~budget =
-  let stat = Array.make std.n VLower in
+   violates bounds, then phase 2 on the true costs.  On [Optimal] the
+   workspace holds the optimal basis (see [finish]). *)
+let run_cold ws ~budget =
+  let std = ws.std and stat = ws.stat in
+  Array.fill stat 0 std.n VLower;
   for j = 0 to std.nstruct - 1 do
     stat.(j) <-
       (if std.lo.(j) > neg_infinity then VLower
        else if std.up.(j) < infinity then VUpper
        else VFree)
   done;
-  let basis = Array.init std.m (fun i -> std.nstruct + i) in
-  Array.iter (fun k -> stat.(k) <- VBasic) basis;
-  match Basis.create std.mat basis with
-  | Error `Singular ->
-    (* The logical basis is an identity matrix; unreachable. *)
-    (Infeasible, None, 0, 0)
-  | Ok bas ->
-    let st = fresh_state std bas stat in
-    let p1_outcome, p1_iters = phase1 st ~budget in
-    let refac () = Basis.refactorizations bas in
-    (match p1_outcome with
-    | `Infeasible -> (Infeasible, None, p1_iters, refac ())
-    | `Iters | `Singular -> (Iteration_limit, None, p1_iters, refac ())
-    | `Feasible ->
-      let outcome, p2_iters =
-        primal st ~cost:std.cost ~lo:std.lo ~up:std.up
-          ~budget:(Int.max 0 (budget - p1_iters))
-      in
-      let total = p1_iters + p2_iters in
-      (match outcome with
-      | P_optimal ->
-        ( Optimal { x = [||]; obj = 0.; basis = snapshot_of st },
-          Some st,
-          total,
-          refac () )
-      | P_unbounded -> (Unbounded, None, total, refac ())
-      | P_iters | P_singular -> (Iteration_limit, None, total, refac ())))
+  for i = 0 to std.m - 1 do
+    stat.(std.nstruct + i) <- VBasic
+  done;
+  Basis.load ws.bas ws.logical;
+  let p1_outcome, p1_iters = phase1 ws ~budget in
+  let refac () = Basis.refactorizations ws.bas in
+  match p1_outcome with
+  | `Infeasible -> (Infeasible, p1_iters, refac ())
+  | `Iters | `Singular -> (Iteration_limit, p1_iters, refac ())
+  | `Feasible ->
+    let outcome, p2_iters =
+      primal ws ~cost:std.cost ~lo:std.lo ~up:std.up
+        ~budget:(Int.max 0 (budget - p1_iters))
+    in
+    let total = p1_iters + p2_iters in
+    (match outcome with
+    | P_optimal -> (pending, total, refac ())
+    | P_unbounded -> (Unbounded, total, refac ())
+    | P_iters | P_singular -> (Iteration_limit, total, refac ()))
 
-let finish prob st result =
+(* The drivers answer [pending] for an optimum; [finish] reads the
+   solution off the workspace. *)
+let finish ws result =
   match result with
   | Optimal _ ->
-    let x = extract st in
-    Optimal { x; obj = Lp_problem.objective_value prob x;
-              basis = snapshot_of st }
+    let x = extract ws in
+    Optimal { x; obj = Lp_problem.objective_value ws.prob x;
+              basis = snapshot_of ws }
   | r -> r
-
-let solve prob =
-  if Fault.fire site_iteration_limit then
-    ( Iteration_limit,
-      { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
-        warm = false } )
-  else begin
-  let std = standardize prob in
-  let budget = default_budget std in
-  let result, st, pivots, refac = run_cold std ~budget in
-  let result =
-    match st with Some st -> finish prob st result | None -> result
-  in
-  ( result,
-    { primal_pivots = pivots; dual_pivots = 0; refactorizations = refac;
-      warm = false } )
-  end
 
 let valid_snapshot snap std =
   snap.sm = std.m && snap.sn = std.n
   && Array.for_all (fun e -> e >= 0 && e < std.n) snap.sbasis
 
-let solve_from snap prob =
+let resolve ws from =
   if Fault.fire site_iteration_limit then
     ( Iteration_limit,
       { primal_pivots = 0; dual_pivots = 0; refactorizations = 0;
-        warm = true } )
+        warm = Option.is_some from } )
   else begin
-  let std = standardize prob in
+  load_bounds ws;
+  let std = ws.std in
   let budget = default_budget std in
   let cold ~dual_pivots ~refac0 =
-    let result, st, pivots, refac = run_cold std ~budget in
-    let result =
-      match st with Some st -> finish prob st result | None -> result
-    in
-    ( result,
+    let result, pivots, refac = run_cold ws ~budget in
+    ( finish ws result,
       { primal_pivots = pivots; dual_pivots;
         refactorizations = refac0 + refac; warm = false } )
   in
-  if not (valid_snapshot snap std) then cold ~dual_pivots:0 ~refac0:0
-  else begin
-    let stat = Array.copy snap.sstat in
+  match from with
+  | None -> cold ~dual_pivots:0 ~refac0:0
+  | Some from when not (valid_snapshot from.snap std) ->
+    cold ~dual_pivots:0 ~refac0:0
+  | Some from ->
+    let stat = ws.stat in
+    Array.blit from.snap.sstat 0 stat 0 std.n;
     (* Legalize rest statuses against the current bounds (a branch may
        have removed the bound a variable was parked at). *)
     for j = 0 to std.n - 1 do
@@ -776,32 +833,33 @@ let solve_from snap prob =
         if std.lo.(j) > neg_infinity then stat.(j) <- VLower
         else if std.up.(j) < infinity then stat.(j) <- VUpper
     done;
-    let created =
+    let factored =
       if Fault.fire site_singular_lu then Error `Singular
-      else Basis.create std.mat snap.sbasis
+      else factors_of ws from
     in
-    match created with
+    match factored with
     | Error `Singular -> cold ~dual_pivots:0 ~refac0:0
-    | Ok bas ->
-      let st = fresh_state std bas stat in
-      if dual_feasible st then begin
-        let douts, diters = dual st ~budget in
+    | Ok lu ->
+      let bas = ws.bas in
+      Basis.load bas lu;
+      if dual_feasible ws then begin
+        let douts, diters = dual ws ~budget in
         match douts with
         | D_feasible ->
           (* Dual feasible + primal feasible; the closing primal pass
              normally certifies optimality in zero pivots. *)
           let pouts, piters =
-            primal st ~cost:std.cost ~lo:std.lo ~up:std.up
+            primal ws ~cost:std.cost ~lo:std.lo ~up:std.up
               ~budget:(Int.max 0 (budget - diters))
           in
           let refac = Basis.refactorizations bas in
           let mk r =
-            ( finish prob st r,
+            ( finish ws r,
               { primal_pivots = piters; dual_pivots = diters;
                 refactorizations = refac; warm = true } )
           in
           (match pouts with
-          | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
+          | P_optimal -> mk pending
           | P_unbounded -> mk Unbounded
           | P_iters -> mk Iteration_limit
           | P_singular ->
@@ -820,19 +878,19 @@ let solve_from snap prob =
       else begin
         (* Costs changed or tolerance drift: if the snapshot is at least
            primal feasible, restart primal phase 2 from it. *)
-        compute_xb st ~lo:std.lo ~up:std.up;
-        if primal_infeasibility st ~lo:std.lo ~up:std.up <= feas_tol then begin
+        compute_xb ws ~lo:std.lo ~up:std.up;
+        if primal_infeasibility ws ~lo:std.lo ~up:std.up <= feas_tol then begin
           let pouts, piters =
-            primal st ~cost:std.cost ~lo:std.lo ~up:std.up ~budget
+            primal ws ~cost:std.cost ~lo:std.lo ~up:std.up ~budget
           in
           let refac = Basis.refactorizations bas in
           let mk r =
-            ( finish prob st r,
+            ( finish ws r,
               { primal_pivots = piters; dual_pivots = 0;
                 refactorizations = refac; warm = true } )
           in
           match pouts with
-          | P_optimal -> mk (Optimal { x = [||]; obj = 0.; basis = snap })
+          | P_optimal -> mk pending
           | P_unbounded -> mk Unbounded
           | P_iters -> mk Iteration_limit
           | P_singular -> cold ~dual_pivots:0 ~refac0:refac
@@ -840,4 +898,6 @@ let solve_from snap prob =
         else cold ~dual_pivots:0 ~refac0:(Basis.refactorizations bas)
       end
   end
-  end
+
+let solve prob = resolve (workspace prob) None
+let solve_from snap prob = resolve (workspace prob) (Some (start snap))

@@ -6,7 +6,9 @@
     internal column space is exactly [structural variables + one logical
     per row], an optimal basis can be re-used by {!solve_from} after the
     bounds change — the branch-and-bound warm-start path, served by a
-    dual-simplex phase.
+    dual-simplex phase.  A search standardizes its problem once, in a
+    {!workspace}, and the children of a branched node share one
+    factorization of its basis through a {!start}.
 
     Tolerances: primal feasibility [1e-7], dual feasibility [1e-7]
     ([1e-6] when screening a warm basis), ratio-test pivot threshold
@@ -14,10 +16,11 @@
     consecutive degenerate pivots.
 
     Fault sites (for {!Fp_util.Fault}, exercised by the resilience
-    tests): ["revised.iteration_limit"] forces {!solve} / {!solve_from}
-    to report [Iteration_limit]; ["basis.singular_lu"] makes
-    {!solve_from} treat the snapshot's LU factorization as singular,
-    taking the documented cold-solve fallback. *)
+    tests): ["revised.iteration_limit"] forces a solve to report
+    [Iteration_limit]; ["basis.singular_lu"] makes a warm solve treat the
+    snapshot's LU factorization as singular, taking the documented
+    cold-solve fallback.  It is checked once per warm solve, before a
+    shared factorization ({!start}) is computed or used. *)
 
 type snapshot
 (** An immutable basis snapshot: which column is basic in each row
@@ -54,3 +57,38 @@ val solve_from : snapshot -> Lp_problem.t -> result * stats
     primal phase 2 from the snapshot if it is primal feasible.  Falls
     back to a cold {!solve} on dimension mismatch, singular basis, or
     numerical failure. *)
+
+(** {2 Repeated solves of one problem}
+
+    A branch-and-bound search solves one problem thousands of times,
+    changing only variable bounds in between.  A {!workspace}
+    standardizes the problem once and keeps the basis and the scratch
+    vectors of every solve; a {!start} lets the sibling nodes of a
+    search share one factorization of their parent's basis.  Both are
+    mutable: keep each value on one domain.  {!solve} and {!solve_from}
+    are {!resolve} on a fresh workspace, and every path performs the
+    same floating-point operations. *)
+
+type workspace
+
+val workspace : Lp_problem.t -> workspace
+(** Standardize the problem.  Its rows, coefficients, right-hand sides,
+    objective and sense are read once, here; each {!resolve} re-reads
+    only the variable bounds. *)
+
+type start
+(** A warm start from a snapshot.  The first {!resolve} from it
+    factorizes the snapshot's basis; later ones reuse the factors.  Use
+    a start with one workspace only: its factors belong to that
+    workspace's matrix. *)
+
+val start : snapshot -> start
+
+val start_snapshot : start -> snapshot
+(** The snapshot [start] was made from. *)
+
+val resolve : workspace -> start option -> result * stats
+(** [resolve ws None] is a cold solve of the workspace's problem under
+    its current bounds; [resolve ws (Some s)] a warm solve from [s], as
+    {!solve} and {!solve_from} describe.  @raise Invalid_argument when
+    variables or rows were added to the problem since {!workspace}. *)

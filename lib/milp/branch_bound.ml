@@ -75,7 +75,7 @@ type outcome = {
    from the root (absolute values, root-first, later entries override
    earlier ones for the same variable), plus the parent's LP bound and
    basis snapshot ({!Revised.snapshot} is immutable, so sharing it across
-   domains is safe — each domain refactorizes it into its own {!Basis}). *)
+   domains is safe — each domain wraps it in its own {!Revised.start}). *)
 type task = {
   t_trail : (int * float * float) list;
   t_depth : int;
@@ -91,6 +91,8 @@ type search = {
   partner : (int, int) Hashtbl.t; (* pair membership, symmetric *)
   is_integer : int -> bool;     (* integer-variable membership, for
                                    bound snapping during propagation *)
+  ints : int array;             (* integer variables, declaration order *)
+  lp : Revised.workspace;       (* this domain's node-LP state *)
   deadline : float;
   mutable node_budget : int;    (* stop at [work.nodes >= node_budget] *)
   mutable capture : (task -> unit) option;
@@ -113,9 +115,7 @@ let fractionality x v =
    or None when the point is integral — the modeler encodes "decide the
    big modules first" by declaring their variables first. *)
 let pick_branch_var s x =
-  List.find_opt
-    (fun v -> fractionality x v > int_tol)
-    (Model.integer_vars s.model)
+  Array.find_opt (fun v -> fractionality x v > int_tol) s.ints
 
 let update_incumbent s x m =
   if m < s.best_m -. s.prm.min_improvement then begin
@@ -145,17 +145,15 @@ let budget_exhausted s =
 
 (* One node: its LP relaxation, warm-started from the parent's optimal
    basis via the dual simplex when there is one (bound-only changes keep
-   it dual feasible), cold at the root.  [Revised.solve_from] falls back
-   to a cold solve internally on singular or stale bases; stats.warm
-   records which path actually produced the answer.  A recovery is a
-   requested warm start that fell back to a cold solve, or an LP that
-   hit its own iteration limit (handled via the parent-bound retreat). *)
+   it dual feasible), cold at the root.  It runs in this domain's
+   workspace [s.lp], which standardized the problem once; siblings share
+   the parent's [Revised.start], so its basis is factorized once for all
+   of them.  [Revised.resolve] falls back to a cold solve on singular or
+   stale bases; stats.warm records which path produced the answer.  A
+   recovery is a requested warm start that fell back to a cold solve, or
+   an LP that hit its own iteration limit (the parent-bound retreat). *)
 let solve_node_lp s parent_basis =
-  let result, (st : Revised.stats) =
-    match parent_basis with
-    | Some basis -> Revised.solve_from basis s.prob
-    | None -> Revised.solve s.prob
-  in
+  let result, (st : Revised.stats) = Revised.resolve s.lp parent_basis in
   let recovered =
     (Option.is_some parent_basis && not st.warm)
     || (match result with Revised.Iteration_limit -> true | _ -> false)
@@ -238,8 +236,8 @@ let rec explore s ~depth ~trail ~parent_basis ~parent_bound =
        order is exactly the order the sequential search would have
        visited the subtrees in. *)
     push
-      { t_trail = List.rev trail; t_depth = depth; t_basis = parent_basis;
-        t_bound = parent_bound }
+      { t_trail = List.rev trail; t_depth = depth; t_bound = parent_bound;
+        t_basis = Option.map Revised.start_snapshot parent_basis }
   | _ ->
     if budget_exhausted s then s.out_of_budget <- true
     else begin
@@ -298,7 +296,8 @@ and expand s ~depth ~trail ~parent_basis ~parent_bound result =
         if Lp_problem.constraint_violation s.prob snapped <= 1e-5 then
           update_incumbent s snapped m_exact
         else update_incumbent s x m
-      | Some v -> branch s ~depth ~trail x v ~basis:(Some basis) ~bound:m
+      | Some v ->
+        branch s ~depth ~trail x v ~basis:(Some (Revised.start basis)) ~bound:m
     end
 
 and branch s ~depth ~trail x v ~basis ~bound =
@@ -378,7 +377,8 @@ let run_task s ~base_lb ~base_ub task ~entry ~budget =
           Lp_problem.set_bounds s.prob v ~lb:base_lb.(v) ~ub:base_ub.(v))
         task.t_trail)
     (fun () ->
-      explore s ~depth:task.t_depth ~trail:[] ~parent_basis:task.t_basis
+      explore s ~depth:task.t_depth ~trail:[]
+        ~parent_basis:(Option.map Revised.start task.t_basis)
         ~parent_bound:task.t_bound);
   let nodes_used = s.work.nodes - nodes_before in
   {
@@ -547,9 +547,10 @@ let solve ?(params = default_params) ?warm ?pool model =
       Hashtbl.replace partner a b;
       Hashtbl.replace partner b a)
     (Model.pairs model);
+  let ints = Array.of_list (Model.integer_vars model) in
   let is_integer =
     let a = Array.make (Lp_problem.num_vars prob) false in
-    List.iter (fun v -> a.(v) <- true) (Model.integer_vars model);
+    Array.iter (fun v -> a.(v) <- true) ints;
     fun v -> v < Array.length a && a.(v)
   in
   (* A pool of one worker cannot run a frontier in parallel. *)
@@ -559,7 +560,8 @@ let solve ?(params = default_params) ?warm ?pool model =
   let start = Unix.gettimeofday () in
   let mk_search prob =
     {
-      model; prob; prm = params; sense_mult; partner; is_integer;
+      model; prob; prm = params; sense_mult; partner; is_integer; ints;
+      lp = Revised.workspace prob;
       deadline = start +. params.time_limit;
       node_budget = params.node_limit; capture = None;
       ramp_limit = max_int; work = no_work;

@@ -329,6 +329,40 @@ let test_pair_branching_used () =
   checkf "bx" 1. sol.(bx);
   checkf "by" 1. sol.(by)
 
+(* The search effort and the answer on six rectangles, pinned to the
+   bit: any change to the node LPs' arithmetic or pivot order moves the
+   tree, the pivot count or the rounding residue in the point
+   (y0 = -2^-50, y4 = 3 - ulp), which a node-count slack would not
+   catch.  Entries compare with [Float.equal], which leaves free only
+   the sign of a zero: the LP solves skip terms that are signed zeros. *)
+let test_search_effort_pinned () =
+  let dims = [| (4., 3.); (3., 5.); (5., 2.); (2., 4.); (3., 3.); (6., 1.) |] in
+  let out = BB.solve (Strip_packing.model ~chip_w:10. ~big_h:20. dims) in
+  Alcotest.(check work) "work"
+    { BB.nodes = 2969; warm_hits = 2968; pivots = 9628; refactorizations = 0;
+      numerical_recoveries = 0 }
+    out.BB.work;
+  Alcotest.(check bool) "optimal" true (out.BB.status = BB.Optimal);
+  let x, obj = best_exn out in
+  let expected =
+    [| 0x1p+0; 0x1.cp+2; 0x1.4p+2; 0x1.4p+2; 0x1p+1; 0x0p+0;
+       (-.0x1p-50); 0x1p+1; 0x0p+0; 0x1p+1; 0x1.7fffffffffffep+1; 0x1.8p+2;
+       0x1.cp+2; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0;
+       0x0p+0; 0x0p+0; 0x1p+0; 0x0p+0; 0x1p+0; 0x1p+0;
+       0x1p+0; 0x1p+0; 0x0p+0; 0x1p+0; 0x0p+0; 0x1p+0;
+       0x0p+0; 0x0p+0; 0x1p+0; 0x1p+0; 0x0p+0; 0x0p+0;
+       0x1p+0; 0x1p+0; 0x0p+0; 0x0p+0; 0x1p+0; 0x0p+0;
+       0x1p+0 |]
+  in
+  let hex_floats =
+    Alcotest.testable
+      (fun ppf a -> Array.iter (Format.fprintf ppf "%h;@ ") a)
+      (fun a b ->
+        Array.length a = Array.length b && Array.for_all2 Float.equal a b)
+  in
+  Alcotest.check hex_floats "best point" expected x;
+  Alcotest.check hex_floats "objective" [| 0x1.cp+2 |] [| obj |]
+
 (* ------------------- brute-force cross-check ------------------------ *)
 
 (* Random small 0-1 MILPs: n binaries, one continuous variable in [0, 10],
@@ -567,6 +601,8 @@ let () =
           Alcotest.test_case "zero node limit" `Quick test_zero_node_limit;
           Alcotest.test_case "warm hits" `Quick test_warm_hits;
           Alcotest.test_case "pair branching" `Quick test_pair_branching_used;
+          Alcotest.test_case "search effort pinned" `Quick
+            test_search_effort_pinned;
           QCheck_alcotest.to_alcotest test_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest test_bb_solutions_integral;
         ] );

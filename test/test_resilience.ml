@@ -171,17 +171,58 @@ let test_deadline_truncation () =
        res.Augment.steps)
 
 (* LP-level faults (stalled simplex, singular warm LU) surface as
-   numerical-recovery notes, not as failures. *)
+   numerical-recovery notes, not as failures: each leg's plan certifies.
+   Sibling node LPs share one factorization of their parent's basis; at
+   this seed the fifth warm solve (after:4) is a second child, whose
+   sibling has already factorized and used the shared start, so the
+   fault there must leave the shared factors usable. *)
 let test_numerical_recovery_notes () =
-  with_clean_faults @@ fun () ->
   let nl = gen ~n:6 ~seed:45 in
-  Fault.arm (Fault.spec ~count:2 "revised.iteration_limit");
-  let res = Augment.run ~config:small_cfg nl in
-  Alcotest.(check bool) "valid placement" true (valid res);
-  Alcotest.(check bool) "recovery recorded" true
-    (List.exists
-       (function Degradation.Numerical_recovery _ -> true | _ -> false)
-       (degs_of res))
+  List.iter
+    (fun spec ->
+      with_clean_faults @@ fun () ->
+      Fault.arm spec;
+      let res = Augment.run ~config:small_cfg nl in
+      let what = Fault.to_string spec in
+      Alcotest.(check bool) (what ^ ": fault fired") true
+        (Fault.injections spec.Fault.site > 0);
+      Alcotest.(check bool) (what ^ ": valid placement") true (valid res);
+      Alcotest.(check bool) (what ^ ": certified") true
+        (List.for_all
+           (fun (d : Fp_check.Diagnostic.t) ->
+             d.Fp_check.Diagnostic.severity <> Fp_check.Diagnostic.Error)
+           (Fp_check.Certify.placement nl res.Augment.placement));
+      Alcotest.(check bool) (what ^ ": recovery recorded") true
+        (List.exists
+           (function Degradation.Numerical_recovery _ -> true | _ -> false)
+           (degs_of res)))
+    [
+      Fault.spec ~count:2 "revised.iteration_limit";
+      Fault.spec ~count:2 "basis.singular_lu";
+      Fault.spec ~after:4 "basis.singular_lu";
+    ]
+
+(* Two rectangles too wide to sit side by side: the root LP is
+   fractional on the pair, and its four children are leaves that all
+   warm-start from the root's one shared factorization.  A singular LU
+   forced on the second child sends only that child to a cold solve. *)
+let test_singular_lu_after_shared_factorization () =
+  with_clean_faults @@ fun () ->
+  let build () =
+    Strip_packing.model ~chip_w:6. ~big_h:20. [| (4., 3.); (3., 5.) |]
+  in
+  let clean = BB.solve (build ()) in
+  Alcotest.(check (pair int int)) "root and four warm leaves" (5, 4)
+    (clean.BB.work.nodes, clean.BB.work.warm_hits);
+  Fault.arm (Fault.spec ~after:1 "basis.singular_lu");
+  let hit = BB.solve (build ()) in
+  Alcotest.(check int) "one injection" 1 (Fault.injections "basis.singular_lu");
+  Alcotest.(check (pair int int)) "only that child went cold" (5, 3)
+    (hit.BB.work.nodes, hit.BB.work.warm_hits);
+  Alcotest.(check int) "counted as a recovery" 1
+    hit.BB.work.numerical_recoveries;
+  Alcotest.(check bool) "same answer" true (hit.BB.best = clean.BB.best);
+  Alcotest.(check bool) "optimal" true (hit.BB.status = BB.Optimal)
 
 (* A crashing hook is contained as Hook_failed; Abort interrupts
    cooperatively. *)
@@ -417,6 +458,8 @@ let () =
             test_deadline_truncation;
           Alcotest.test_case "numerical recovery notes" `Quick
             test_numerical_recovery_notes;
+          Alcotest.test_case "singular LU after a shared factorization"
+            `Quick test_singular_lu_after_shared_factorization;
           Alcotest.test_case "hook containment" `Quick test_hook_containment;
           Alcotest.test_case "hook abort" `Quick test_hook_abort;
           Alcotest.test_case "task loss recovery" `Quick

@@ -1,10 +1,12 @@
 (* Tests for Fp_lp.Revised: deterministic known LPs, a qcheck oracle
    pitting the revised simplex against the dense tableau solver in
-   [Dense_simplex] on random bounded LPs, and warm-vs-cold equivalence
-   on branched (bound-tightened) subproblems. *)
+   [Dense_simplex] on random bounded LPs, warm-vs-cold equivalence on
+   branched (bound-tightened) subproblems, and the sparse Basis kernels
+   against the dense ones in [Dense_basis]. *)
 
 module Lp = Fp_lp.Lp_problem
 module Revised = Fp_lp.Revised
+module Basis = Fp_lp.Basis
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
@@ -272,6 +274,190 @@ let test_warm_equals_cold =
         !ok
       | _ -> true)
 
+(* A search's workspace and shared starts must give exactly what fresh
+   standalone solves give: same answers, same bits, same pivot counts. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       a b
+
+let same_answer (r1, (s1 : Revised.stats)) (r2, (s2 : Revised.stats)) =
+  s1 = s2
+  &&
+  match (r1, r2) with
+  | Revised.Optimal { x = a; obj = oa; _ }, Revised.Optimal { x = b; obj = ob; _ }
+    ->
+    same_bits a b && same_bits [| oa |] [| ob |]
+  | Revised.Infeasible, Revised.Infeasible
+  | Revised.Unbounded, Revised.Unbounded
+  | Revised.Iteration_limit, Revised.Iteration_limit ->
+    true
+  | _ -> false
+
+let test_workspace_equals_standalone =
+  QCheck.Test.make
+    ~name:"workspace resolves from shared starts = standalone solves, bit for bit"
+    ~count:120 rlp_arb (fun r ->
+      let p = build r in
+      let ws = Revised.workspace p in
+      let cold = Revised.solve p in
+      same_answer cold (Revised.resolve ws None)
+      &&
+      match cold with
+      | Revised.Optimal { x; basis; _ }, _ ->
+        (* Every branch of every variable starts from one shared start,
+           as the sibling nodes of a branch-and-bound search do. *)
+        let start = Revised.start basis in
+        let ok = ref true in
+        Array.iteri
+          (fun v xv ->
+            let lb = Lp.var_lb p v and ub = Lp.var_ub p v in
+            List.iter
+              (fun (nlb, nub) ->
+                if !ok && nub >= nlb then begin
+                  Lp.set_bounds p v ~lb:nlb ~ub:nub;
+                  let fresh = Revised.solve_from basis p in
+                  if not (same_answer fresh (Revised.resolve ws (Some start)))
+                  then ok := false;
+                  Lp.set_bounds p v ~lb ~ub
+                end)
+              [
+                (lb, Float.min ub (Float.floor xv));
+                (Float.max lb (Float.ceil xv), ub);
+              ])
+          x;
+        !ok
+      | _ -> true)
+
+(* ------------------------ Basis kernels ----------------------------- *)
+
+(* A matrix shaped like a branch-and-bound node LP's [A | I]: [ns]
+   structural columns with 2-8 nonzeros each (small integers, so pivot
+   magnitudes tie, or random reals), then one unit logical column per
+   row.  The starting basis is the logical one with up to m/3 positions
+   taken by random structural columns, which is singular often enough
+   to test that both kernels reject the same bases. *)
+let node_like_basis rng m =
+  let ns = m + 1 + Random.State.int rng m in
+  let cols =
+    Array.init (ns + m) (fun j ->
+        if j >= ns then [| (j - ns, 1.) |]
+        else begin
+          let k = Int.min m (2 + Random.State.int rng 7) in
+          let rows = Array.init m Fun.id in
+          for i = m - 1 downto 1 do
+            let r = Random.State.int rng (i + 1) in
+            let t = rows.(i) in
+            rows.(i) <- rows.(r);
+            rows.(r) <- t
+          done;
+          let rows = Array.sub rows 0 k in
+          Array.sort Int.compare rows;
+          let integral = Random.State.bool rng in
+          Array.map
+            (fun i ->
+              let v =
+                if integral then float_of_int (Random.State.int rng 7 - 3)
+                else Random.State.float rng 4. -. 2.
+              in
+              (i, if v = 0. then 1. else v))
+            rows
+        end)
+  in
+  let col_start = Array.make (Array.length cols + 1) 0 in
+  Array.iteri (fun j c -> col_start.(j + 1) <- col_start.(j) + Array.length c) cols;
+  let flat f = Array.concat (Array.to_list (Array.map (Array.map f) cols)) in
+  let mat = { Basis.m; col_start; row = flat fst; value = flat snd } in
+  let basis = Array.init m (fun i -> ns + i) in
+  for _ = 1 to Random.State.int rng (m / 3 + 1) do
+    (* Mostly as a pivot would: the column takes the position of one of
+       its rows; sometimes anywhere. *)
+    let c = Random.State.int rng ns in
+    let p =
+      if Random.State.int rng 8 = 0 then Random.State.int rng m
+      else fst cols.(c).(Random.State.int rng (Array.length cols.(c)))
+    in
+    basis.(p) <- c
+  done;
+  (mat, basis)
+
+let random_vector rng m =
+  Array.init m (fun _ ->
+      match Random.State.int rng 4 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | 2 -> float_of_int (Random.State.int rng 9 - 4)
+      | _ -> Random.State.float rng 2. -. 1.)
+
+let test_sparse_basis_matches_dense =
+  QCheck.Test.make ~name:"sparse Basis = dense kernels through 70+ updates"
+    ~count:100
+    QCheck.(pair (int_range 1 80) int)
+    (fun (m, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let mat, basis = node_like_basis rng m in
+      let sparse =
+        (* Half the cases start from factors computed on another basis
+           of the same matrix and loaded, as sibling nodes do. *)
+        if Random.State.bool rng then Basis.create mat basis
+        else
+          let ncols = Array.length mat.col_start - 1 in
+          match Basis.create mat (Array.init m (fun i -> ncols - m + i)) with
+          | Error `Singular -> Error `Singular
+          | Ok t ->
+            Result.map
+              (fun f ->
+                Basis.load t f;
+                t)
+              (Basis.factorize t basis)
+      in
+      match (sparse, Dense_basis.create mat basis) with
+      | Error `Singular, Error `Singular -> true
+      | Ok _, Error `Singular | Error `Singular, Ok _ -> false
+      | Ok s, Ok d ->
+        let ncols = Array.length mat.col_start - 1 in
+        let ok = ref true and updates = ref 0 and tries = ref 0 in
+        (* Every entry equal as a float: only the sign of a zero may
+           differ. *)
+        let both f g v =
+          let a = Array.copy v and b = Array.copy v in
+          f a;
+          g b;
+          if not (Array.for_all2 Float.equal a b) then ok := false;
+          a
+        in
+        while !ok && !updates < 72 && !tries < 400 do
+          incr tries;
+          let v = random_vector rng m in
+          ignore (both (Basis.ftran s) (Dense_basis.ftran d) v);
+          ignore (both (Basis.btran s) (Dense_basis.btran d) v);
+          let col = Random.State.int rng ncols in
+          let a = Array.make m 0. in
+          for e = mat.col_start.(col) to mat.col_start.(col + 1) - 1 do
+            a.(mat.row.(e)) <- mat.value.(e)
+          done;
+          let dcol = both (Basis.ftran s) (Dense_basis.ftran d) a in
+          (* Leave at the largest pivot, the first one on ties. *)
+          let row = ref 0 in
+          Array.iteri
+            (fun i x -> if Float.abs x > Float.abs dcol.(!row) then row := i)
+            dcol;
+          if Float.abs dcol.(!row) > 1e-6 then begin
+            let rs = Basis.update s ~row:!row ~col ~d:dcol
+            and rd = Dense_basis.update d ~row:!row ~col ~d:dcol in
+            if rs <> rd then ok := false
+            else
+              match rs with
+              | Ok _ -> incr updates
+              | Error _ -> tries := max_int - 1
+          end
+        done;
+        !ok
+        && (!updates < 72 || Basis.refactorizations s = 1)
+        && Basis.refactorizations s = Dense_basis.refactorizations d
+        && Basis.basis s = Dense_basis.basis d)
+
 let () =
   Alcotest.run "fp_lp_revised"
     [
@@ -294,5 +480,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_revised_matches_dense;
           QCheck_alcotest.to_alcotest test_warm_equals_cold;
+          QCheck_alcotest.to_alcotest test_workspace_equals_standalone;
         ] );
+      ( "basis",
+        [ QCheck_alcotest.to_alcotest test_sparse_basis_matches_dense ] );
     ]
