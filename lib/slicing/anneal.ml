@@ -38,37 +38,37 @@ type stats = {
   truncated : bool;
 }
 
-let placement_of nl cfg expr =
-  let options_of m =
-    Shape.leaf_options ~samples:cfg.flex_samples (Netlist.module_at nl m)
-  in
-  let sized = Shape.size expr options_of in
-  let rects, w, h =
-    Shape.realize ?width_limit:(Outline.width_limit cfg.outline) sized
-  in
-  let pl =
-    List.fold_left
-      (fun acc (m, rect, rotated) ->
-        Placement.add acc
-          { Placement.module_id = m; rect; envelope = rect; rotated })
-      (Placement.empty ~chip_width:w)
-      rects
-  in
-  (pl, w, h)
+let placement_of ?width_limit sized =
+  let rects, w, _ = Shape.realize ?width_limit sized in
+  List.fold_left
+    (fun acc (m, rect, rotated) ->
+      Placement.add acc
+        { Placement.module_id = m; rect; envelope = rect; rotated })
+    (Placement.empty ~chip_width:w)
+    rects
 
-let cost_of nl cfg expr =
-  let pl, w, h = placement_of nl cfg expr in
-  let wire = if Tol.is_zero cfg.wire_weight then 0. else Metrics.hpwl nl pl in
+(* The chip comes from the root curve; a placement is built only for
+   the wirelength term. *)
+let cost_of nl leaves cfg expr =
+  let sized = Shape.size expr leaves in
+  let width_limit = Outline.width_limit cfg.outline in
+  let w, h = Shape.root ?width_limit sized in
+  let wire =
+    if Tol.is_zero cfg.wire_weight then 0.
+    else Metrics.hpwl nl (placement_of ?width_limit sized)
+  in
+  (* Steep area-units penalties driving the chip inside the outline: a
+     unit of excess costs several times the area of a full outline row
+     (or column).  Realization picks the lowest root within the width
+     cap, but falls back to the minimum-area root when none fits, so
+     width excess is charged too. *)
   let outline_penalty =
     match cfg.outline with
-    | Outline.Free | Outline.Max_width _ ->
-      (* Realization already caps the width; nothing left to penalize. *)
-      0.
+    | Outline.Free -> 0.
+    | Outline.Max_width w_max -> 4. *. h *. Float.max 0. (w -. w_max)
     | Outline.Fixed { w = w_max; h = h_max } ->
-      (* Steep area-units penalty driving the realized height under the
-         outline: one unit of height excess costs several times the
-         area of a full outline row. *)
-      4. *. w_max *. Float.max 0. (h -. h_max)
+      (4. *. w_max *. Float.max 0. (h -. h_max))
+      +. (4. *. h_max *. Float.max 0. (w -. w_max))
   in
   (w *. h) +. (cfg.wire_weight *. wire) +. outline_penalty
 
@@ -76,10 +76,9 @@ let cost_of nl cfg expr =
    candidates (e.g. M3 on a tiny expression). *)
 let neighbour rng expr =
   match Rng.int rng 3 with
-  | 0 -> (
-    match Polish.m1_candidates expr with
-    | [] -> None
-    | cands -> Some (Polish.apply_m1 expr (Rng.int rng (List.length cands))))
+  | 0 ->
+    let pairs = Polish.num_modules expr - 1 in
+    if pairs = 0 then None else Some (Polish.apply_m1 expr (Rng.int rng pairs))
   | 1 ->
     let chains = Polish.num_operator_chains expr in
     if chains = 0 then None
@@ -95,6 +94,13 @@ let run ?(config = default_config) ?abort nl =
   let n = Netlist.num_modules nl in
   if n = 0 then invalid_arg "Anneal.run: empty instance";
   let t0 = Unix.gettimeofday () in
+  let leaves =
+    Shape.leaves
+      (Array.init n (fun m ->
+           Shape.leaf_options ~samples:config.flex_samples
+             (Netlist.module_at nl m)))
+  in
+  let cost_of = cost_of nl leaves config in
   let deadline = Option.map (fun l -> t0 +. l) config.time_limit in
   let truncated = ref false in
   let truncate () =
@@ -103,7 +109,7 @@ let run ?(config = default_config) ?abort nl =
   in
   let rng = Rng.create config.seed in
   let expr = ref (Polish.of_modules n) in
-  let cost = ref (cost_of nl config !expr) in
+  let cost = ref (cost_of !expr) in
   let initial_cost = !cost in
   let best_expr = ref !expr and best_cost = ref !cost in
   let iterations = ref 0 and accepted = ref 0 in
@@ -115,7 +121,7 @@ let run ?(config = default_config) ?abort nl =
       match neighbour rng !probe with
       | None -> ()
       | Some cand ->
-        let c = cost_of nl config cand in
+        let c = cost_of cand in
         deltas := Float.abs (c -. !pc) :: !deltas;
         probe := cand;
         pc := c
@@ -142,7 +148,7 @@ let run ?(config = default_config) ?abort nl =
          match neighbour rng !expr with
          | None -> ()
          | Some cand ->
-           let c = cost_of nl config cand in
+           let c = cost_of cand in
            let delta = c -. !cost in
            let accept =
              delta <= 0.
@@ -161,7 +167,11 @@ let run ?(config = default_config) ?abort nl =
        temp := !temp *. config.cooling
      done
    with Truncated -> ());
-  let pl, _, _ = placement_of nl config !best_expr in
+  let pl =
+    placement_of
+      ?width_limit:(Outline.width_limit config.outline)
+      (Shape.size !best_expr leaves)
+  in
   ( pl,
     {
       iterations = !iterations;

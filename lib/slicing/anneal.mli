@@ -4,8 +4,16 @@
     Search space: normalized Polish expressions ({!Polish}); neighbour
     moves M1 (swap adjacent operands), M2 (complement an operator chain),
     M3 (swap an adjacent operand/operator pair); cost: bounding-box area
-    of the best realization plus an optional wirelength term; schedule:
-    geometric cooling with an adaptive initial temperature.
+    of the best realization plus an optional wirelength term and an
+    outline penalty; schedule: geometric cooling with an adaptive initial
+    temperature.
+
+    Each move costs one linear pass over the expression: the leaf curves
+    are built once per run, every cut merges its children's curves
+    ({!Shape.size}), and the chip is read from the root curve
+    ({!Shape.root}) — the same root {!Shape.realize} places, so cost and
+    plan cannot disagree.  A placement is built per move only for the
+    wirelength term (when [wire_weight] is non-zero).
 
     Deterministic for a fixed seed. *)
 
@@ -19,13 +27,18 @@ type config = {
   outline : Fp_core.Outline.t;
       (** [Free] (default) minimizes bounding-box area; [Max_width w]
           realizes for minimum height at bounded width, like the MILP's
-          fixed-width chip; [Fixed] additionally penalizes height excess
-          in the cost so the search is driven inside the outline *)
+          fixed-width chip; [Fixed] also caps the height.  Realization
+          falls back to the minimum-area root when no root fits the
+          width cap, so the cost charges excess on both axes: [4 h]
+          per unit of width excess under [Max_width], and [4 w_max] per
+          unit of height plus [4 h_max] per unit of width excess under
+          [Fixed], which drives the search inside the outline *)
   time_limit : float option;
       (** wall-clock budget in seconds (default [None]); checked at each
           cooling-stage boundary, and the best plan so far is returned
           with [stats.truncated] set *)
-  flex_samples : int;       (** shape samples per flexible module *)
+  flex_samples : int;       (** shape samples per flexible module
+                                (default 6, at least 2) *)
 }
 
 val default_config : config
@@ -54,4 +67,5 @@ val run :
     signals it when another engine wins).  Deadline/abort checks consume
     no randomness: for a fixed seed without truncation the result is
     bit-identical across [time_limit]/[abort] settings.
-    @raise Invalid_argument on an empty instance. *)
+    @raise Invalid_argument on an empty instance, or when
+    [flex_samples < 2] (before the first move). *)

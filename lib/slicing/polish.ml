@@ -43,30 +43,22 @@ let is_valid t =
   in
   go 0 0 && Array.length t.elems = (2 * t.n) - 1
 
-(* Positions (indices into elems) of all operands, in order. *)
-let operand_positions t =
-  let acc = ref [] in
-  Array.iteri
-    (fun i e -> match e with Operand _ -> acc := i :: !acc | Operator _ -> ())
-    t.elems;
-  Array.of_list (List.rev !acc)
-
-let m1_candidates t =
-  let pos = operand_positions t in
-  List.init
-    (Array.length pos - 1)
-    (fun k -> (pos.(k), pos.(k + 1)))
-
-let apply_m1 t k =
-  let pos = operand_positions t in
-  if k < 0 || k + 1 >= Array.length pos then
-    invalid_arg "Polish.apply_m1: operand index out of range";
+let swap t i j =
   let elems = Array.copy t.elems in
-  let i = pos.(k) and j = pos.(k + 1) in
   let tmp = elems.(i) in
   elems.(i) <- elems.(j);
   elems.(j) <- tmp;
   { t with elems }
+
+let apply_m1 t k =
+  if k < 0 || k + 1 >= t.n then
+    invalid_arg "Polish.apply_m1: operand index out of range";
+  let rec operand_from i =
+    match t.elems.(i) with Operand _ -> i | Operator _ -> operand_from (i + 1)
+  in
+  let rec kth i k = if k = 0 then i else kth (operand_from (i + 1)) (k - 1) in
+  let i = kth (operand_from 0) k in
+  swap t i (operand_from (i + 1))
 
 (* Maximal runs of consecutive operators. *)
 let operator_chains t =
@@ -101,33 +93,37 @@ let apply_m2 t c =
   done;
   { t with elems }
 
-let swap_at t p =
-  let elems = Array.copy t.elems in
-  let tmp = elems.(p) in
-  elems.(p) <- elems.(p + 1);
-  elems.(p + 1) <- tmp;
-  { t with elems }
-
+(* A swap at p keeps every operand count except the one before p + 1,
+   and every operator pair except those around p .. p + 1, so one pass
+   with a running count decides each position:
+   - operand, operator o -> o, operand: two operands must precede p, and
+     element p - 1 must not be o;
+   - operator o, operand -> operand, o: the count before p + 1 only
+     grows, and element p + 2 must not be o. *)
 let m3_candidates t =
   let len = Array.length t.elems in
-  let ok = ref [] in
-  for p = 0 to len - 2 do
-    let is_pair =
+  let is_op o i =
+    i >= 0 && i < len
+    && match t.elems.(i) with Operator o' -> o' = o | Operand _ -> false
+  in
+  (* [before] is the operand count minus the operator count of elements
+     0 .. p - 1; a valid expression ends at 1. *)
+  let before = ref 1 and ok = ref [] in
+  for p = len - 1 downto 0 do
+    (match t.elems.(p) with Operand _ -> decr before | Operator _ -> incr before);
+    if p + 1 < len then
       match (t.elems.(p), t.elems.(p + 1)) with
-      | Operand _, Operator _ | Operator _, Operand _ -> true
-      | _ -> false
-    in
-    if is_pair then begin
-      let t' = swap_at t p in
-      if is_valid t' then ok := p :: !ok
-    end
+      | Operand _, Operator o ->
+        if !before >= 2 && not (is_op o (p - 1)) then ok := p :: !ok
+      | Operator o, Operand _ -> if not (is_op o (p + 2)) then ok := p :: !ok
+      | Operand _, Operand _ | Operator _, Operator _ -> ()
   done;
-  List.rev !ok
+  !ok
 
 let apply_m3 t p =
   if p < 0 || p + 1 >= Array.length t.elems then
     invalid_arg "Polish.apply_m3: position out of range";
-  let t' = swap_at t p in
+  let t' = swap t p (p + 1) in
   if not (is_valid t') then
     invalid_arg "Polish.apply_m3: move breaks validity";
   t'

@@ -28,12 +28,9 @@ val is_valid : t -> bool
 (** Balloting property, each module exactly once, normalized (no two
     equal adjacent operators). *)
 
-val m1_candidates : t -> (int * int) list
-(** Pairs of positions of {e adjacent operands} (ignoring operators in
-    between none — i.e. consecutive in the operand subsequence). *)
-
 val apply_m1 : t -> int -> t
-(** [apply_m1 t i] swaps the [i]-th and [i+1]-th operands. *)
+(** [apply_m1 t i] swaps the [i]-th and [i+1]-th operands, for
+    [0 <= i < num_modules t - 1]. *)
 
 val apply_m2 : t -> int -> t
 (** [apply_m2 t i] complements the [i]-th maximal operator chain

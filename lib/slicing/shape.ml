@@ -5,6 +5,10 @@ module Module_def = Fp_netlist.Module_def
 type option_list = (float * float) list
 
 let leaf_options ?(samples = 6) (m : Module_def.t) =
+  if samples < 2 then
+    invalid_arg
+      (Printf.sprintf "Shape.leaf_options: samples = %d, need at least 2"
+         samples);
   match m.Module_def.shape with
   | Module_def.Rigid { w; h } ->
     if Tol.equal w h then [ (w, h) ] else [ (w, h); (h, w) ]
@@ -28,8 +32,11 @@ type tree =
 
 and sized = { tree : tree; curve : entry array }
 
+type leaves = sized array
+
 (* Pareto-prune a list of entries: keep, per distinct width, the minimal
-   height, and drop dominated points. *)
+   height, and drop dominated points.  The sort is stable, so among
+   entries of equal (w, h) the first in the list survives. *)
 let prune entries =
   let sorted =
     List.sort
@@ -46,77 +53,115 @@ let prune entries =
   in
   Array.of_list (go [] sorted)
 
-let combine op (l : sized) (r : sized) =
-  let entries = ref [] in
-  Array.iteri
-    (fun li le ->
-      Array.iteri
-        (fun ri re ->
-          let w, h =
-            match op with
-            | Polish.V -> (le.w +. re.w, Float.max le.h re.h)
-            | Polish.H -> (Float.max le.w re.w, le.h +. re.h)
-          in
-          entries := { w; h; li; ri } :: !entries)
-        r.curve)
-    l.curve;
-  { tree = Node (op, l, r); curve = prune !entries }
+let leaves options =
+  Array.mapi
+    (fun m opts ->
+      if opts = [] then
+        invalid_arg
+          (Printf.sprintf "Shape.leaves: module %d has no shape options" m);
+      let curve =
+        prune (List.mapi (fun i (w, h) -> { w; h; li = i; ri = -1 }) opts)
+      in
+      { tree = Leaf (m, Array.of_list opts); curve })
+    options
 
-let size expr options_of =
-  if not (Polish.is_valid expr) then
-    invalid_arg "Shape.size: invalid Polish expression";
-  let stack = ref [] in
-  List.iter
-    (fun e ->
-      match e with
-      | Polish.Operand m ->
-        let opts = Array.of_list (options_of m) in
-        if Array.length opts = 0 then
-          invalid_arg
-            (Printf.sprintf "Shape.size: module %d has no shape options" m);
-        let curve =
-          prune
-            (Array.to_list
-               (Array.mapi (fun i (w, h) -> { w; h; li = i; ri = -1 }) opts))
+(* The last index from [k] up to [last] whose pair width is bit-equal to
+   that of [k]: widths never fall along a curve, so the equal ones run
+   contiguously. *)
+let rec last_tie width k last =
+  if k < last && Float.equal (width (k + 1)) (width k) then
+    last_tie width (k + 1) last
+  else k
+
+(* Stockmeyer's merge.  A pruned curve runs in increasing width and
+   strictly decreasing height, so only one monotone staircase of
+   (left, right) pairs can hold Pareto points:
+   - V (widths add, heights max) starts at the narrowest pair and
+     advances the side that sets the height (the left one on a tie);
+   - H (widths max, heights add) starts at the widest pair and steps
+     back on the side that sets the width (the left one on a tie).
+   Each skipped pair has a staircase pair of equal height (V) or equal
+   width (H) that sorts no later in [prune], which then drops the
+   skipped pair.  The exception is a V sum that rounds to the staircase
+   pair's width: the all-pairs list (largest (li, ri) first) would have
+   kept the skipped pair, so the walk emits the last pair of equal width
+   along the skipped side instead.  In H the staircase pair is already
+   the larger one.  Pairs of equal (w, h) are consecutive on the
+   staircase and reach [prune] largest first, as in the all-pairs
+   list, so [prune] keeps the same entries it keeps from all pairs. *)
+let combine op (l : sized) (r : sized) =
+  let lc = l.curve and rc = r.curve in
+  let nl = Array.length lc and nr = Array.length rc in
+  let pair li ri =
+    let le = lc.(li) and re = rc.(ri) in
+    match op with
+    | Polish.V -> { w = le.w +. re.w; h = Float.max le.h re.h; li; ri }
+    | Polish.H -> { w = Float.max le.w re.w; h = le.h +. re.h; li; ri }
+  in
+  let pairs =
+    match op with
+    | Polish.V ->
+      let rec walk acc i j =
+        if lc.(i).h >= rc.(j).h then
+          let k = last_tie (fun k -> lc.(i).w +. rc.(k).w) j (nr - 1) in
+          let acc = pair i k :: acc in
+          if i + 1 < nl then walk acc (i + 1) j else acc
+        else
+          let k = last_tie (fun k -> lc.(k).w +. rc.(j).w) i (nl - 1) in
+          let acc = pair k j :: acc in
+          if j + 1 < nr then walk acc i (j + 1) else acc
+      in
+      walk [] 0 0
+    | Polish.H ->
+      let rec walk i j =
+        let rest =
+          if lc.(i).w >= rc.(j).w then if i > 0 then walk (i - 1) j else []
+          else if j > 0 then walk i (j - 1)
+          else []
         in
-        stack := { tree = Leaf (m, opts); curve } :: !stack
-      | Polish.Operator op -> (
-        match !stack with
-        | r :: l :: rest -> stack := combine op l r :: rest
-        | _ -> invalid_arg "Shape.size: malformed expression"))
-    (Polish.elements expr);
-  match !stack with
+        pair i j :: rest
+      in
+      walk (nl - 1) (nr - 1)
+  in
+  { tree = Node (op, l, r); curve = prune pairs }
+
+let size expr leaves =
+  if Polish.num_modules expr <> Array.length leaves then
+    invalid_arg "Shape.size: leaf table and expression differ in size";
+  let push stack = function
+    | Polish.Operand m -> leaves.(m) :: stack
+    | Polish.Operator op -> (
+      match stack with
+      | r :: l :: rest -> combine op l r :: rest
+      | _ -> invalid_arg "Shape.size: malformed expression")
+  in
+  match List.fold_left push [] (Polish.elements expr) with
   | [ s ] -> s
   | _ -> invalid_arg "Shape.size: malformed expression"
 
 let frontier s = Array.to_list s.curve |> List.map (fun e -> (e.w, e.h))
 
-let best_area_entry s =
-  Array.fold_left
-    (fun acc e ->
-      match acc with
-      | None -> Some e
-      | Some b -> if Tol.lt (e.w *. e.h) (b.w *. b.h) then Some e else acc)
-    None s.curve
-  |> Option.get
+(* Heights fall strictly along a curve, so the lowest entry within the
+   width limit is the last one within it. *)
+let root_entry ?width_limit s =
+  let min_area () =
+    Array.fold_left
+      (fun b e -> if Tol.lt (e.w *. e.h) (b.w *. b.h) then e else b)
+      s.curve.(0) s.curve
+  in
+  match width_limit with
+  | None -> min_area ()
+  | Some wl ->
+    let fit = ref (-1) in
+    Array.iteri (fun i e -> if Tol.leq e.w wl then fit := i) s.curve;
+    if !fit < 0 then min_area () else s.curve.(!fit)
 
-let best_area s =
-  let e = best_area_entry s in
+let root ?width_limit s =
+  let e = root_entry ?width_limit s in
   (e.w, e.h)
 
 let realize ?width_limit s =
-  let root =
-    match width_limit with
-    | None -> best_area_entry s
-    | Some wl -> (
-      let fitting =
-        Array.to_list s.curve |> List.filter (fun e -> Tol.leq e.w wl)
-      in
-      match fitting with
-      | [] -> best_area_entry s
-      | e :: rest ->
-        List.fold_left (fun b e -> if e.h < b.h then e else b) e rest)
-  in
+  let root = root_entry ?width_limit s in
   let out = ref [] in
   (* Walk down: at each node, the chosen entry points at the child
      entries that produced it. *)

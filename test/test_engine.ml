@@ -161,6 +161,17 @@ let test_project_fixed_outline_feasible () =
   Alcotest.(check bool) "certified inside outline" true
     (stats o).Solver.certified
 
+(* The annealer charges width and height excess alike, so it also ends
+   inside a feasible die. *)
+let test_sa_fixed_outline_feasible () =
+  let nl = Fp_data.Ami33.netlist () in
+  let sc =
+    { (scenario 1990) with Solver.outline = Outline.Fixed { w = 140.; h = 130. } }
+  in
+  let o = solve_one (Sa_engine.make ()) sc nl in
+  Alcotest.(check bool) "certified inside outline" true
+    (stats o).Solver.certified
+
 (* An impossible outline (smaller than the total silicon area) must
    still yield a valid plan, uncertified, with the overshoot recorded —
    never an exception or a silent pass. *)
@@ -307,6 +318,8 @@ let () =
             test_engine_deterministic;
           Alcotest.test_case "sa deadline truncates" `Quick
             test_sa_deadline_truncates;
+          Alcotest.test_case "sa feasible fixed outline" `Quick
+            test_sa_fixed_outline_feasible;
           Alcotest.test_case "milp abort stops at commit" `Quick
             test_milp_abort_stops_at_commit;
         ] );

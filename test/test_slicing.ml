@@ -1,5 +1,8 @@
 (* Tests for Fp_slicing: normalized Polish expressions and their moves,
-   shape curves, realization, and the simulated-annealing driver. *)
+   shape curves, realization, and the simulated annealer.  The
+   staircase merge is checked against the all-pairs curves in
+   [All_pairs_shape], and the linear M3 enumeration against swapping
+   every position and validating. *)
 
 module Rect = Fp_geometry.Rect
 module Module_def = Fp_netlist.Module_def
@@ -9,10 +12,18 @@ module Polish = Fp_slicing.Polish
 module Shape = Fp_slicing.Shape
 module Anneal = Fp_slicing.Anneal
 module Placement = Fp_core.Placement
+module Rng = Fp_util.Rng
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
 let expr_str e = Format.asprintf "%a" Polish.pp e
+
+let mentions msg word =
+  let n = String.length word in
+  let rec at i =
+    i + n <= String.length msg && (String.sub msg i n = word || at (i + 1))
+  in
+  at 0
 
 (* ------------------------------ Polish ------------------------------ *)
 
@@ -32,8 +43,13 @@ let test_m1_swaps_operands () =
   let e' = Polish.apply_m1 e 0 in
   Alcotest.(check string) "swapped" "1 0 V 2 V" (expr_str e');
   Alcotest.(check bool) "still valid" true (Polish.is_valid e');
-  Alcotest.(check int) "m1 candidate count" 2
-    (List.length (Polish.m1_candidates e))
+  Alcotest.(check string) "last pair" "0 2 V 1 V"
+    (expr_str (Polish.apply_m1 e 1));
+  Alcotest.(check bool) "one pair fewer than modules" true
+    (try
+       ignore (Polish.apply_m1 e 2);
+       false
+     with Invalid_argument _ -> true)
 
 let test_m2_complements_chain () =
   let e = Polish.of_modules 3 in
@@ -63,34 +79,65 @@ let test_m3_rejects_bad_position () =
        false
      with Invalid_argument _ -> true)
 
+(* One random M1/M2/M3 move, as the annealer draws them. *)
+let random_move rng e =
+  match Rng.int rng 3 with
+  | 0 ->
+    let pairs = Polish.num_modules e - 1 in
+    if pairs > 0 then Polish.apply_m1 e (Rng.int rng pairs) else e
+  | 1 ->
+    let c = Polish.num_operator_chains e in
+    if c > 0 then Polish.apply_m2 e (Rng.int rng c) else e
+  | _ -> (
+    match Polish.m3_candidates e with
+    | [] -> e
+    | c -> Polish.apply_m3 e (List.nth c (Rng.int rng (List.length c))))
+
 let test_random_walk_stays_valid =
   QCheck.Test.make ~name:"random move walks keep expressions valid" ~count:60
     QCheck.(pair (int_range 2 9) (int_range 0 1000))
     (fun (n, seed) ->
-      let rng = Fp_util.Rng.create seed in
+      let rng = Rng.create seed in
       let e = ref (Polish.of_modules n) in
       let ok = ref true in
       for _ = 1 to 40 do
-        (match Fp_util.Rng.int rng 3 with
-        | 0 ->
-          let c = Polish.m1_candidates !e in
-          if c <> [] then
-            e := Polish.apply_m1 !e (Fp_util.Rng.int rng (List.length c))
-        | 1 ->
-          let c = Polish.num_operator_chains !e in
-          if c > 0 then e := Polish.apply_m2 !e (Fp_util.Rng.int rng c)
-        | _ ->
-          let c = Polish.m3_candidates !e in
-          if c <> [] then
-            e := Polish.apply_m3 !e
-                (List.nth c (Fp_util.Rng.int rng (List.length c))));
+        e := random_move rng !e;
         if not (Polish.is_valid !e) then ok := false
+      done;
+      !ok)
+
+(* Swap every operand/operator pair and keep the positions whose result
+   validates: [apply_m3] swaps, then checks [Polish.is_valid]. *)
+let brute_force_m3 e =
+  let elems = Array.of_list (Polish.elements e) in
+  List.filter
+    (fun p ->
+      match (elems.(p), elems.(p + 1)) with
+      | Polish.Operand _, Polish.Operator _ | Polish.Operator _, Polish.Operand _
+        -> (
+        match Polish.apply_m3 e p with
+        | _ -> true
+        | exception Invalid_argument _ -> false)
+      | _ -> false)
+    (List.init (Array.length elems - 1) Fun.id)
+
+let test_m3_matches_brute_force =
+  QCheck.Test.make ~name:"m3 candidates match swap-then-validate" ~count:200
+    QCheck.(triple (int_range 1 14) (int_range 0 120) (int_range 0 100_000))
+    (fun (n, steps, seed) ->
+      let rng = Rng.create seed in
+      let e = ref (Polish.of_modules n) and ok = ref true in
+      for _ = 0 to steps do
+        if Polish.m3_candidates !e <> brute_force_m3 !e then ok := false;
+        e := random_move rng !e
       done;
       !ok)
 
 (* ------------------------------ Shape ------------------------------- *)
 
 let rigid id w h = Module_def.rigid ~id ~name:(Printf.sprintf "m%d" id) ~w ~h
+
+let leaves_of n options_of = Shape.leaves (Array.init n options_of)
 
 let test_leaf_options_rigid () =
   Alcotest.(check int) "two orientations" 2
@@ -105,23 +152,32 @@ let test_leaf_options_flexible () =
   in
   let opts = Shape.leaf_options ~samples:5 f in
   Alcotest.(check int) "sample count" 5 (List.length opts);
-  List.iter (fun (w, h) -> checkf "exact area" 16. (w *. h)) opts
+  List.iter (fun (w, h) -> checkf "exact area" 16. (w *. h)) opts;
+  List.iter
+    (fun samples ->
+      Alcotest.(check bool)
+        (Printf.sprintf "samples = %d rejected" samples)
+        true
+        (try
+           ignore (Shape.leaf_options ~samples f);
+           false
+         with Invalid_argument msg ->
+           mentions msg "samples"))
+    [ 1; 0; -3 ]
 
 let test_shape_two_modules () =
   (* 0: 4x2, 1: 4x2; "0 1 V" side by side: best (w8, h2) or rotated
      variants; "0 1 H": stack: 4x4. *)
   let options_of m = Shape.leaf_options (rigid m 4. 2.) in
   let v = Polish.of_modules 2 in
-  let sized = Shape.size v options_of in
-  let _, h = Shape.best_area sized in
+  let sized = Shape.size v (leaves_of 2 options_of) in
   (* Best area over {8x2=16, 6x4=24(mixed), 4x4=16(both rotated)}: 16. *)
-  let w0, h0 = Shape.best_area sized in
-  checkf "best area 16" 16. (w0 *. h0);
-  ignore h
+  let w0, h0 = Shape.root sized in
+  checkf "best area 16" 16. (w0 *. h0)
 
 let test_frontier_pareto () =
   let options_of m = Shape.leaf_options (rigid m (4. +. float_of_int m) 2.) in
-  let sized = Shape.size (Polish.of_modules 3) options_of in
+  let sized = Shape.size (Polish.of_modules 3) (leaves_of 3 options_of) in
   let f = Shape.frontier sized in
   let rec strictly_improving = function
     | (w1, h1) :: ((w2, h2) :: _ as rest) ->
@@ -142,7 +198,7 @@ let test_realize_no_overlap () =
     Polish.of_modules 4 |> Fun.flip Polish.apply_m2 0
     |> Fun.flip Polish.apply_m1 1
   in
-  let sized = Shape.size e options_of in
+  let sized = Shape.size e (leaves_of 4 options_of) in
   let rects, w, h = Shape.realize sized in
   Alcotest.(check int) "all modules" 4 (List.length rects);
   List.iteri
@@ -164,18 +220,135 @@ let test_realize_width_limit () =
      stack. *)
   let options_of m = Shape.leaf_options (rigid m 6. 2.) in
   let expr = Polish.apply_m2 (Polish.of_modules 2) 0 in
-  let sized = Shape.size expr options_of in
+  let sized = Shape.size expr (leaves_of 2 options_of) in
   let _, w, h = Shape.realize ~width_limit:7. sized in
   Alcotest.(check bool) "fits the limit" true (w <= 7. +. 1e-6);
   checkf "stacked height" 4. h
 
 let test_realize_area_matches_curve () =
   let options_of m = Shape.leaf_options (rigid m 5. 3.) in
-  let sized = Shape.size (Polish.of_modules 3) options_of in
-  let bw, bh = Shape.best_area sized in
+  let sized = Shape.size (Polish.of_modules 3) (leaves_of 3 options_of) in
+  let bw, bh = Shape.root sized in
   let _, w, h = Shape.realize sized in
   checkf "same w" bw w;
-  checkf "same h" bh h
+  checkf "same h" bh h;
+  List.iter
+    (fun (fw, _) ->
+      let rw, rh = Shape.root ~width_limit:fw sized in
+      let _, w, h = Shape.realize ~width_limit:fw sized in
+      Alcotest.(check bool) "same root under a width limit" true
+        (Float.equal rw w && Float.equal rh h))
+    (Shape.frontier sized)
+
+(* --------------------- staircase merge vs all pairs --------------------- *)
+
+(* Module sets from six generators.  Decimal dimensions and identical
+   flexible modules put widths one ulp apart on a curve, so a later V cut
+   sees sums that round to the same width: the ties the merge must break
+   as the all-pairs sort does. *)
+let module_set kind n rng =
+  let float_in lo hi = lo +. Rng.float rng (hi -. lo) in
+  let tenths k = float_of_int (1 + Rng.int rng k) /. 10. in
+  let flexible area aspect =
+    Module_def.flexible ~id:0 ~name:"f" ~area ~min_aspect:(1. /. aspect)
+      ~max_aspect:aspect
+  in
+  match kind with
+  | 0 -> Array.init n (fun m -> rigid m (float_in 0.5 20.) (float_in 0.5 20.))
+  | 1 ->
+    let dim () = float_of_int (1 + Rng.int rng 4) in
+    Array.init n (fun m -> rigid m (dim ()) (dim ()))
+  | 2 -> Array.init n (fun m -> rigid m (tenths 6) (tenths 3))
+  | 3 ->
+    let f = flexible (float_of_int (2 + Rng.int rng 20)) (float_in 1.5 4.) in
+    Array.make n f
+  | 4 ->
+    let pool =
+      [| rigid 0 (tenths 30) (tenths 30);
+         rigid 0 (float_in 1. 5.) (float_in 1. 5.);
+         flexible (float_in 2. 12.) (float_in 1.5 3.) |]
+    in
+    Array.init n (fun _ -> pool.(Rng.int rng (Array.length pool)))
+  | _ ->
+    (* The generator needs three modules to wire its nets. *)
+    let k = Int.max 3 n in
+    Array.sub
+      (Netlist.modules
+         (Generator.generate
+            { Generator.default_config with
+              Generator.num_modules = k;
+              total_area = 349. *. float_of_int k;
+              seed = Rng.int rng 1_000_000 }))
+      0 n
+
+let same_plan (ra, wa, ha) (rb, wb, hb) =
+  Float.equal wa wb && Float.equal ha hb
+  && List.length ra = List.length rb
+  && List.for_all2
+       (fun (ma, (a : Rect.t), rot_a) (mb, (b : Rect.t), rot_b) ->
+         ma = mb && rot_a = rot_b && Float.equal a.Rect.x b.Rect.x
+         && Float.equal a.Rect.y b.Rect.y && Float.equal a.Rect.w b.Rect.w
+         && Float.equal a.Rect.h b.Rect.h)
+       ra rb
+
+(* Equal frontiers, and equal realizations with no limit, with a limit
+   nothing fits, and at every frontier width. *)
+let matches_all_pairs opts e =
+  let s = Shape.size e (Shape.leaves opts)
+  and r = All_pairs_shape.size e (fun m -> opts.(m)) in
+  let f = Shape.frontier s and fr = All_pairs_shape.frontier r in
+  List.length f = List.length fr
+  && List.for_all2
+       (fun (w, h) (w', h') -> Float.equal w w' && Float.equal h h')
+       f fr
+  && List.for_all
+       (fun width_limit ->
+         same_plan
+           (Shape.realize ?width_limit s)
+           (All_pairs_shape.realize ?width_limit r))
+       (None
+       :: Some (fst (List.hd f) /. 2.)
+       :: List.map (fun (w, _) -> Some w) f)
+
+(* Widths one ulp apart.  Modules a and b side by side are
+   0.2 + 0.4 = 0.6000000000000001 wide and module c is 0.6 wide, so the
+   curve of "a b V c H" holds both widths; a V cut with module d rounds
+   both sums to 1.0, and the all-pairs sort keeps the pair with the
+   larger indices.  The tie falls on the skipped side of the staircase
+   with d on either side of the cut. *)
+let test_merge_ulp_ties () =
+  let a = (0.2, 0.2) and b = (0.4, 0.1) and c = (0.6, 0.1) and d = (0.4, 0.9) in
+  let opts dims = Array.map (fun (w, h) -> Shape.leaf_options (rigid 0 w h)) dims in
+  let d_right = Polish.apply_m2 (Polish.of_modules 4) 1 in
+  let d_left =
+    Polish.apply_m3
+      (Polish.apply_m3 (Polish.apply_m2 (Polish.of_modules 4) 1) 2)
+      4
+  in
+  List.iter
+    (fun (dims, e, shown) ->
+      Alcotest.(check string) "expression" shown (expr_str e);
+      Alcotest.(check bool) shown true (matches_all_pairs (opts dims) e))
+    [ ([| a; b; c; d |], d_right, "0 1 V 2 H 3 V");
+      ([| d; a; b; c |], d_left, "0 1 2 V 3 H V") ]
+
+let test_merge_matches_all_pairs =
+  QCheck.Test.make ~name:"staircase merge matches all pairs" ~count:1000
+    QCheck.(triple (int_range 0 5) (int_range 2 10) (int_range 0 1_000_000))
+    (fun (kind, n, seed) ->
+      let rng = Rng.create seed in
+      let defs = module_set kind n rng in
+      let opts =
+        Array.map (Shape.leaf_options ~samples:(2 + Rng.int rng 7)) defs
+      in
+      let e = ref (Polish.of_modules n) and ok = ref true in
+      for _ = 0 to Rng.int rng 8 do
+        if not (matches_all_pairs opts !e) then ok := false;
+        for _ = 1 to 1 + Rng.int rng 12 do
+          e := random_move rng !e
+        done
+      done;
+      !ok)
 
 (* ------------------------------ Anneal ------------------------------ *)
 
@@ -211,9 +384,10 @@ let test_anneal_width_limit () =
       Anneal.outline = Fp_core.Outline.Max_width 70.; stages = 20 }
   in
   let pl, _ = Anneal.run ~config:cfg nl in
-  (* The realization prefers shapes fitting the limit when any exist. *)
-  Alcotest.(check bool) "reasonable width" true
-    (pl.Placement.chip_width <= 140.);
+  (* Width excess is charged in the cost, so the search ends inside the
+     cap. *)
+  Alcotest.(check bool) "within the width cap" true
+    (pl.Placement.chip_width <= 70. +. Fp_geometry.Tol.eps);
   Alcotest.(check bool) "valid" true (Placement.valid pl = Ok ())
 
 let test_anneal_wire_weight_reduces_hpwl () =
@@ -235,6 +409,61 @@ let test_anneal_wire_weight_reduces_hpwl () =
     (Fp_core.Metrics.hpwl nl with_wire
      <= (1.15 *. Fp_core.Metrics.hpwl nl area_only) +. 1e-6)
 
+(* flex_samples < 2 would divide 0 by 0 in the flexible leaves; the run
+   rejects it before its first move. *)
+let test_anneal_rejects_few_samples () =
+  let nl =
+    Generator.generate
+      { Generator.default_config with Generator.num_modules = 6; seed = 35 }
+  in
+  List.iter
+    (fun flex_samples ->
+      Alcotest.(check bool)
+        (Printf.sprintf "flex_samples = %d rejected" flex_samples)
+        true
+        (try
+           ignore
+             (Anneal.run
+                ~config:{ Anneal.default_config with Anneal.flex_samples }
+                nl);
+           false
+         with Invalid_argument msg -> mentions msg "samples"))
+    [ 1; 0; -1 ]
+
+let plan_digest (pl : Placement.t) =
+  let b = Buffer.create 2048 in
+  Printf.bprintf b "%h|%h;" pl.Placement.chip_width pl.Placement.height;
+  List.iter
+    (fun (q : Placement.placed) ->
+      let r = q.Placement.rect in
+      Printf.bprintf b "%d:%h,%h,%h,%h:%b;" q.Placement.module_id r.Rect.x
+        r.Rect.y r.Rect.w r.Rect.h q.Placement.rotated)
+    pl.Placement.placed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded trajectories on ami33 at 15 stages: every RNG draw, accept
+   decision and cost bit must replay. *)
+let test_anneal_pinned () =
+  let nl = Fp_data.Ami33.netlist () in
+  let pin wire_weight ~iterations ~accepted ~best_cost ~initial_cost ~digest =
+    let cfg = { Anneal.default_config with Anneal.stages = 15; wire_weight } in
+    let pl, s = Anneal.run ~config:cfg nl in
+    let name what = Printf.sprintf "wire_weight %g: %s" wire_weight what in
+    Alcotest.(check int) (name "iterations") iterations s.Anneal.iterations;
+    Alcotest.(check int) (name "accepted") accepted s.Anneal.accepted;
+    Alcotest.(check bool) (name "best cost") true
+      (Float.equal best_cost s.Anneal.best_cost);
+    Alcotest.(check bool) (name "initial cost") true
+      (Float.equal initial_cost s.Anneal.initial_cost);
+    Alcotest.(check string) (name "plan") digest (plan_digest pl)
+  in
+  pin 0. ~iterations:2970 ~accepted:2154 ~best_cost:0x1.c49aa76f3d8ccp+13
+    ~initial_cost:0x1.e6ca6c3e3bae8p+13
+    ~digest:"c22058322cd071e1dac7907acdb80800";
+  pin 2. ~iterations:2970 ~accepted:2169 ~best_cost:0x1.59a47bae9dd39p+15
+    ~initial_cost:0x1.d926cab6bcad4p+15
+    ~digest:"2cc56f011d13ec9b8a3d134746b3b6a9"
+
 let test_anneal_single_module () =
   let nl = Netlist.create ~name:"one" [ rigid 0 4. 2. ] [] in
   let pl, _ = Anneal.run nl in
@@ -252,6 +481,7 @@ let () =
           Alcotest.test_case "m3 validity" `Quick test_m3_preserves_validity;
           Alcotest.test_case "m3 rejects" `Quick test_m3_rejects_bad_position;
           QCheck_alcotest.to_alcotest test_random_walk_stays_valid;
+          QCheck_alcotest.to_alcotest test_m3_matches_brute_force;
         ] );
       ( "shape",
         [
@@ -263,6 +493,8 @@ let () =
           Alcotest.test_case "width limit" `Quick test_realize_width_limit;
           Alcotest.test_case "realize matches curve" `Quick
             test_realize_area_matches_curve;
+          Alcotest.test_case "merge breaks ulp ties" `Quick test_merge_ulp_ties;
+          QCheck_alcotest.to_alcotest test_merge_matches_all_pairs;
         ] );
       ( "anneal",
         [
@@ -273,5 +505,8 @@ let () =
           Alcotest.test_case "wire weight" `Quick
             test_anneal_wire_weight_reduces_hpwl;
           Alcotest.test_case "single module" `Quick test_anneal_single_module;
+          Alcotest.test_case "rejects few flex samples" `Quick
+            test_anneal_rejects_few_samples;
+          Alcotest.test_case "pinned trajectories" `Quick test_anneal_pinned;
         ] );
     ]
