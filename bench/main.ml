@@ -26,7 +26,6 @@ let out_dir = ref "."
 let quick = ref false
 let json = ref false
 let max_k = ref max_int
-let jobs = ref 1
 let printf = Printf.printf
 let t_start = Unix.gettimeofday ()
 
@@ -97,8 +96,8 @@ module Json = struct
 end
 
 (* Write BENCH_<exp>.json into the output directory when --json is on.
-   Every record carries provenance: wall clock since harness start, the
-   --jobs setting, and the git commit. *)
+   Every record carries provenance: wall clock since harness start and
+   the git commit. *)
 let write_json exp fields =
   if !json then begin
     let path = Filename.concat !out_dir (Printf.sprintf "BENCH_%s.json" exp) in
@@ -107,7 +106,6 @@ let write_json exp fields =
       fields
       @ [
           ("wall_clock_s", Json.Float (Unix.gettimeofday () -. t_start));
-          ("jobs", Json.Int !jobs);
           ("commit", Json.Str (Lazy.force commit_id));
         ]
     in
@@ -144,9 +142,9 @@ let worst_status steps =
 let sum_steps f steps = List.fold_left (fun a s -> a + f s) 0 steps
 
 (* Resilience provenance attached to every per-run JSON record: what the
-   run degraded on, how often it retried, and whether the deadline ladder
-   had to truncate steps.  A regression tracker diffing BENCH files sees
-   a solver that silently started falling back. *)
+   run degraded on, and whether the run deadline had to truncate steps.
+   A regression tracker diffing BENCH files sees a solver that silently
+   started falling back. *)
 let resilience_fields steps =
   let degs =
     List.concat_map
@@ -156,7 +154,6 @@ let resilience_fields steps =
   [
     ( "degradations",
       Json.List (List.map (fun d -> Json.Str (Degradation.to_string d)) degs) );
-    ("retries", Json.Int (sum_steps (fun s -> s.Augment.retries) steps));
     ( "deadline_misses",
       Json.Int
         (List.length
@@ -189,7 +186,7 @@ let hr title =
   printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let base_config () =
-  let d = { Augment.default_config with Augment.jobs = !jobs } in
+  let d = Augment.default_config in
   if !quick then
     { d with
       Augment.milp = { d.Augment.milp with BB.node_limit = 500; time_limit = 5. } }
@@ -457,67 +454,6 @@ let baseline_comparison () =
       row "slicing SA (baseline)" sa_pl sa_stats.Fp_slicing.Anneal.elapsed)
     [ 15; 33 ]
 
-let ablation_parallel () =
-  hr "Ablation -- domain-parallel branch-and-bound (scaling)";
-  printf "(parallel replay: every jobs count must reproduce the jobs=1\n";
-  printf " floorplan bit-for-bit; speedup saturates at the machine's core\n";
-  printf " count — %d on this host)\n\n"
-    (Domain.recommended_domain_count ());
-  let k =
-    match List.filter (fun k -> k <= 25) (table1_sizes ()) with
-    | [] -> 15
-    | l -> List.fold_left Int.max 0 l
-  in
-  let nl = Fp_data.Instances.table1_instance k in
-  printf "%6s %10s %10s %10s %12s %10s\n" "Jobs" "Height" "Time (s)" "Speedup"
-    "Identical" "Certify";
-  let rows = ref [] and ref_pl = ref None and ref_dt = ref 0. in
-  List.iter
-    (fun j ->
-      let config = { (base_config ()) with Augment.jobs = j } in
-      let t0 = Unix.gettimeofday () in
-      let res, pl = floorplan ~config nl in
-      let dt = Unix.gettimeofday () -. t0 in
-      (match !ref_pl with
-      | None ->
-        ref_pl := Some pl;
-        ref_dt := dt
-      | Some _ -> ());
-      (* Bit-for-bit: deterministic replay promises the identical
-         incumbent at every step, and everything downstream of the MILP
-         is deterministic arithmetic. *)
-      let identical = pl = Option.get !ref_pl in
-      let errors, _, _ =
-        Fp_check.Diagnostic.count (Fp_check.Certify.placement nl pl)
-      in
-      let speedup = !ref_dt /. dt in
-      printf "%6d %10.1f %10.2f %9.2fx %12s %10s\n" j pl.Placement.height dt
-        speedup
-        (if identical then "yes" else "NO")
-        (if errors = 0 then "pass" else "FAIL");
-      rows :=
-        Json.Obj
-          ([
-            ("engine", Json.Str "milp");
-            ("jobs", Json.Int j);
-            ("time_s", Json.Float dt);
-            ("speedup", Json.Float speedup);
-            ("height", Json.Float pl.Placement.height);
-            ("area", Json.Float (Placement.chip_area pl));
-            ("identical_to_jobs1", Json.Bool identical);
-            ("certified", Json.Bool (errors = 0));
-          ]
-          @ formulation_fields config
-          @ resilience_fields res.Augment.steps)
-        :: !rows)
-    [ 1; 2; 4; 8 ];
-  write_json "ablation_parallel"
-    [
-      ("k", Json.Int k);
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
-      ("rows", Json.List (List.rev !rows));
-    ]
-
 let ablation_formulation () =
   hr "Ablation -- MILP formulation strengthening (basic vs tight)";
   printf "(basic: global big-M caps, the paper's formulation verbatim;\n";
@@ -570,7 +506,6 @@ let ablation_formulation () =
   write_json "ablation_formulation" [ ("rows", Json.List (List.rev !rows)) ]
 
 let ablations () =
-  ablation_parallel ();
   ablation_formulation ();
   ablation_group_size ();
   ablation_covering ();
@@ -651,8 +586,7 @@ let fault_matrix () =
       (* Small budgets give budget-type faults a real tree to hit and
          keep every row under a few seconds. *)
       Augment.milp =
-        { base.Augment.milp with BB.node_limit = 300; time_limit = 5. };
-      max_retries = 1 }
+        { base.Augment.milp with BB.node_limit = 300; time_limit = 5. } }
   in
   printf "%-26s %8s %8s %8s  %s\n" "Site" "Injected" "Certify" "Degrade"
     "Recorded degradations";
@@ -661,16 +595,11 @@ let fault_matrix () =
     (fun site ->
       Fp_util.Fault.reset ();
       (* Some recovery paths only exist under a particular topology:
-         worker crashes need concurrent candidate evaluation, task loss
-         needs a parallel MILP frontier, hook faults need a hook. *)
+         worker crashes need concurrent candidate evaluation, hook faults
+         need a hook. *)
       let config =
         match site with
-        | "pool.worker_exn" ->
-          { base with Augment.jobs = 2; candidates = 2 }
-        | "branch_bound.task_loss" ->
-          { base with
-            Augment.jobs = 2;
-            milp = { base.Augment.milp with BB.ramp_nodes = 0 } }
+        | "pool.worker_exn" -> { base with Augment.candidates = 2 }
         | "augment.hook" ->
           { base with
             Augment.inspect =
@@ -726,8 +655,6 @@ let fault_matrix () =
                 Json.List
                   (List.map (fun d -> Json.Str (Degradation.to_string d)) degs)
               );
-              ("retries",
-               Json.Int (sum_steps (fun s -> s.Augment.retries) res.Augment.steps));
               ("ok", Json.Bool ok);
             ]
             @ formulation_fields config)
@@ -814,7 +741,7 @@ let portfolio_bench () =
 let () =
   let run_t1 = ref false and run_t2 = ref false and run_t3 = ref false in
   let run_figs = ref false and run_abl = ref false in
-  let run_chk = ref false and run_par = ref false and run_flt = ref false in
+  let run_chk = ref false and run_flt = ref false in
   let run_pf = ref false and run_form = ref false in
   let any = ref false in
   let speclist =
@@ -838,9 +765,6 @@ let () =
       ( "--check",
         Arg.Unit (fun () -> any := true; run_chk := true),
         "  report lint findings + certification time per step" );
-      ( "--ablation-parallel",
-        Arg.Unit (fun () -> any := true; run_par := true),
-        "  run only the domain-parallel scaling ablation" );
       ( "--ablation-formulation",
         Arg.Unit (fun () -> any := true; run_form := true),
         "  run only the formulation-strengthening ablation (basic/tight)" );
@@ -854,9 +778,6 @@ let () =
            recover"
           (List.length Fp_util.Fault.builtin)
           (String.concat ", " (List.map fst Fp_util.Fault.builtin)) );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N  worker domains for every floorplan run (default 1)" );
       ("--quick", Arg.Set quick, "  reduced MILP budgets (fast, lower quality)");
       ( "--json",
         Arg.Set json,
@@ -892,7 +813,6 @@ let () =
   if !run_t3 then table3 ();
   if !run_figs then figures ();
   if !run_abl then ablations ();
-  if !run_par && not !run_abl then ablation_parallel ();
   if !run_form && not !run_abl then ablation_formulation ();
   if !run_flt then fault_matrix ();
   if !run_pf then portfolio_bench ();

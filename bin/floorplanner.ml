@@ -124,12 +124,6 @@ let nodes_arg =
        & info [ "nodes" ] ~docv:"N"
            ~doc:"Branch-and-bound node budget per augmentation step.")
 
-let jobs_arg =
-  Arg.(value & opt (int_from 1) 1
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the MILP search (deterministic: the \
-                 floorplan is identical for every $(docv)).")
-
 let candidates_arg =
   Arg.(value & opt (int_from 1) 1
        & info [ "candidates" ] ~docv:"N"
@@ -157,12 +151,6 @@ let time_budget_arg =
                  apportioned over the remaining augmentation steps, and \
                  once spent the rest of the modules are committed from \
                  their warm packings (reported as degradations).")
-
-let retries_arg =
-  Arg.(value & opt (int_from 0) 2
-       & info [ "retries" ] ~docv:"N"
-           ~doc:"Escalated re-attempts for a step whose MILP found no \
-                 solution.")
 
 let checkpoint_arg =
   Arg.(value & opt (some string) None
@@ -334,8 +322,8 @@ let svg_arg =
 let ascii_arg =
   Arg.(value & flag & info [ "ascii" ] ~doc:"Print an ASCII rendering.")
 
-let config_of ?time_budget ?(retries = 2) ?checkpoint ?(formulation = Formulation.Basic)
-    ~width ~group ~ordering ~wire ~envelope ~nodes ~seed ~jobs ~candidates () =
+let config_of ?time_budget ?checkpoint ?(formulation = Formulation.Basic)
+    ~width ~group ~ordering ~wire ~envelope ~nodes ~seed ~candidates () =
   let d = Augment.default_config in
   {
     d with
@@ -356,10 +344,8 @@ let config_of ?time_budget ?(retries = 2) ?checkpoint ?(formulation = Formulatio
         (fun pitch -> { Augment.pitch_h = pitch; pitch_v = pitch; share = 0.5 })
         envelope;
     milp = { d.Augment.milp with BB.node_limit = nodes };
-    jobs;
     candidates;
     run_time_limit = time_budget;
-    max_retries = retries;
     checkpoint;
   }
 
@@ -466,8 +452,8 @@ let report_plan nl pl dt =
 
 let plan_cmd =
   let run input ami33 random seed verbose width group ordering wire envelope
-      nodes formulation jobs candidates time_budget retries checkpoint resume
-      stop_after faults refine slicing engine outline svg ascii lint =
+      nodes formulation candidates time_budget checkpoint resume stop_after
+      faults refine slicing engine outline svg ascii lint =
     setup_logs verbose;
     match
       let ( let* ) = Result.bind in
@@ -481,8 +467,8 @@ let plan_cmd =
       1
     | Ok (nl, resume) ->
       let config =
-        config_of ?time_budget ~retries ?checkpoint ~formulation ~width ~group
-          ~ordering ~wire ~envelope ~nodes ~seed ~jobs ~candidates ()
+        config_of ?time_budget ?checkpoint ~formulation ~width ~group
+          ~ordering ~wire ~envelope ~nodes ~seed ~candidates ()
       in
       let findings = ref [] in
       let config =
@@ -554,9 +540,8 @@ let plan_cmd =
     Term.(
       const run $ input_arg $ ami33_arg $ random_arg $ seed_arg $ verbose_arg
       $ width_arg $ group_arg $ ordering_arg $ objective_arg $ envelope_arg
-      $ nodes_arg $ formulation_arg $ jobs_arg $ candidates_arg
-      $ time_budget_arg $ retries_arg $ checkpoint_arg $ resume_arg
-      $ stop_after_arg $ faults_arg $ refine_arg $ slicing_arg $ engine_arg
+      $ nodes_arg $ formulation_arg $ candidates_arg $ time_budget_arg
+      $ checkpoint_arg $ resume_arg $ stop_after_arg $ faults_arg $ refine_arg $ slicing_arg $ engine_arg
       $ outline_arg $ svg_arg $ ascii_arg $ lint_arg)
   in
   Cmd.v
@@ -579,7 +564,7 @@ let route_cmd =
          & info [ "penalty-off" ] ~doc:"Use the unweighted shortest path.")
   in
   let run input ami33 random seed verbose width group ordering wire envelope
-      nodes formulation jobs candidates pitch penalty penalty_off svg lint =
+      nodes formulation candidates pitch penalty penalty_off svg lint =
     setup_logs verbose;
     match load_instance input ami33 random seed with
     | Error e ->
@@ -588,7 +573,7 @@ let route_cmd =
     | Ok nl ->
       let config =
         config_of ~formulation ~width ~group ~ordering ~wire ~envelope ~nodes
-          ~seed ~jobs ~candidates ()
+          ~seed ~candidates ()
       in
       let findings = ref [] in
       let config =
@@ -628,7 +613,7 @@ let route_cmd =
     Term.(
       const run $ input_arg $ ami33_arg $ random_arg $ seed_arg $ verbose_arg
       $ width_arg $ group_arg $ ordering_arg $ objective_arg $ envelope_arg
-      $ nodes_arg $ formulation_arg $ jobs_arg $ candidates_arg $ pitch_arg
+      $ nodes_arg $ formulation_arg $ candidates_arg $ pitch_arg
       $ weighted_arg $ penalty_off_arg $ svg_arg $ lint_arg)
   in
   Cmd.v
@@ -645,7 +630,7 @@ let check_cmd =
                    instead of the human-readable report.")
   in
   let run input ami33 random seed verbose width group ordering wire envelope
-      nodes formulation jobs candidates time_budget retries faults machine =
+      nodes formulation candidates time_budget faults machine =
     setup_logs verbose;
     match
       let ( let* ) = Result.bind in
@@ -658,8 +643,8 @@ let check_cmd =
       1
     | Ok nl ->
       let config =
-        config_of ?time_budget ~retries ~formulation ~width ~group ~ordering
-          ~wire ~envelope ~nodes ~seed ~jobs ~candidates ()
+        config_of ?time_budget ~formulation ~width ~group ~ordering ~wire
+          ~envelope ~nodes ~seed ~candidates ()
       in
       let findings = ref [] in
       let config =
@@ -686,8 +671,8 @@ let check_cmd =
     Term.(
       const run $ input_arg $ ami33_arg $ random_arg $ seed_arg $ verbose_arg
       $ width_arg $ group_arg $ ordering_arg $ objective_arg $ envelope_arg
-      $ nodes_arg $ formulation_arg $ jobs_arg $ candidates_arg
-      $ time_budget_arg $ retries_arg $ faults_arg $ machine_arg)
+      $ nodes_arg $ formulation_arg $ candidates_arg $ time_budget_arg
+      $ faults_arg $ machine_arg)
   in
   Cmd.v
     (Cmd.info "check"

@@ -18,7 +18,8 @@ exception Abort
 
 (* Fault sites: a hook raising out of its observation (the run must
    survive and record it), and a candidate MILP evaluation dying (the
-   candidate is excluded, or the step retries). *)
+   candidate is excluded; when none survives, the head group's warm
+   packing is committed). *)
 let site_hook = Fault.register "augment.hook"
 let site_candidate = Fault.register "augment.candidate_milp"
 
@@ -66,11 +67,8 @@ type config = {
   milp : Branch_bound.params;
   check : bool;
   inspect : inspect option;
-  jobs : int;
   candidates : int;
   run_time_limit : float option;
-  max_retries : int;
-  retry_escalation : float;
   checkpoint : string option;
 }
 
@@ -98,11 +96,8 @@ let default_config =
       };
     check = false;
     inspect = None;
-    jobs = 1;
     candidates = 1;
     run_time_limit = None;
-    max_retries = 2;
-    retry_escalation = 4.;
     checkpoint = None;
   }
 
@@ -116,10 +111,7 @@ type result = {
 }
 
 (* Canonical rendering of everything in the config that shapes the
-   placement trajectory, digested into the checkpoint journal.  [jobs]
-   and [milp.ramp_nodes] are deliberately excluded — the
-   deterministic replay makes the trajectory independent of worker
-   scheduling, and resume must work across [--jobs] values.  [check],
+   placement trajectory, digested into the checkpoint journal.  [check],
    [inspect] and [checkpoint] are observational.  The two closure fields
    cannot be digested, only their presence can: resuming with a
    {e different} bound function or objective weight of the same shape is
@@ -160,15 +152,16 @@ let config_digest cfg =
   p "netbound:%b;" (cfg.critical_net_bound <> None);
   let m = cfg.milp in
   (* The fixed integrality tolerance, branching rule ("ff") and LP warm
-     start, and the removed shadow-cold and deterministic flags, print
-     the values they always had, so older journals resume. *)
+     start, the removed shadow-cold and deterministic flags, and the
+     removed retry ladder's defaults (2 retries at 4x) print the values
+     they always had, so older journals resume. *)
   p "milp:%d:%h:%h:%h:ff:true:false:true;" m.Branch_bound.node_limit
     m.Branch_bound.time_limit 1e-6 m.Branch_bound.min_improvement;
   p "cand:%d;" cfg.candidates;
   (match cfg.run_time_limit with
   | None -> p "deadline:none;"
   | Some l -> p "deadline:%h;" l);
-  p "retries:%d:%h;" cfg.max_retries cfg.retry_escalation;
+  p "retries:%d:%h;" 2 4.;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let margins_of cfg nl id =
@@ -263,8 +256,7 @@ type eval = {
 let no_outcome =
   {
     Branch_bound.status = Branch_bound.No_solution; best = None;
-    work = Branch_bound.no_work; tasks_lost = 0; root_bound = nan;
-    per_domain = [||]; frontier_tasks = 0; waves = 0;
+    work = Branch_bound.no_work; root_bound = nan;
   }
 
 (* Silicon rectangle of a warm-start choice, mirroring
@@ -305,7 +297,7 @@ let nets_over_bound cfg nl placement =
           | _ -> None))
       (Netlist.nets nl)
 
-let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
+let evaluate cfg nl ~chip_width ~skyline ~placement ~mode group =
   (* Largest modules first: their pair binaries are declared first, so
      First_fractional branching decides the big shapes early. *)
   let group =
@@ -421,16 +413,12 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
       degrade reason;
       (no_outcome, warm_sol)
     | `Solve milp ->
-      Fault.trip site_candidate;
       let outcome =
-        Branch_bound.solve ~params:milp ?warm:warm_sol ?pool
-          built.Formulation.model
+        Branch_bound.solve ~params:milp ?warm:warm_sol built.Formulation.model
       in
       let recoveries = outcome.Branch_bound.work.numerical_recoveries in
       if recoveries > 0 then
         degrade (Degradation.Numerical_recovery recoveries);
-      if outcome.Branch_bound.tasks_lost > 0 then
-        degrade (Degradation.Task_lost outcome.Branch_bound.tasks_lost);
       (match (outcome.Branch_bound.best, warm_sol) with
       | Some (x, _), Some w
         when outcome.Branch_bound.status <> Branch_bound.Optimal && x = w ->
@@ -501,16 +489,12 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~pool ~mode group =
     e_degradations = List.rev !degradations;
   }
 
-let run ?(config = default_config) ?resume ?pool:shared_pool nl =
+let run ?(config = default_config) ?resume nl =
   let cfg = config in
   if Netlist.num_modules nl = 0 then
     invalid_arg "Augment.run: empty instance";
   if cfg.group_size < 1 then invalid_arg "Augment.run: group_size < 1";
-  if cfg.jobs < 1 then invalid_arg "Augment.run: jobs < 1";
   if cfg.candidates < 1 then invalid_arg "Augment.run: candidates < 1";
-  if cfg.max_retries < 0 then invalid_arg "Augment.run: max_retries < 0";
-  if Tol.lt cfg.retry_escalation 1. then
-    invalid_arg "Augment.run: retry_escalation < 1";
   let t0 = Unix.gettimeofday () in
   let run_deadline = Option.map (fun l -> t0 +. l) cfg.run_time_limit in
   let chip_width =
@@ -551,16 +535,6 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
         { Journal.config_digest = cfg_digest; instance_digest = inst_digest;
           chip_width; steps_done; placement; remaining }
   in
-  let with_pool k =
-    match shared_pool with
-    | Some _ ->
-      (* Caller-owned pool: use it for this run, never shut it down. *)
-      k shared_pool
-    | None ->
-      if cfg.jobs > 1 then Pool.with_pool ~jobs:cfg.jobs (fun p -> k (Some p))
-      else k None
-  in
-  with_pool @@ fun pool ->
   let skyline = ref start_skyline in
   let placement = ref start_placement in
   let steps = ref [] in
@@ -568,21 +542,6 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
   let run_degr = ref [] in
   let remaining = ref start_groups in
   let interrupted = ref false in
-  (* Escalation ladder for a retried step: multiply the node and time
-     budgets, bounded so a pathological step cannot take the run down
-     with it.  The time side additionally never exceeds what is left of
-     the run deadline. *)
-  let escalate base attempt ~deadline_left =
-    let f = cfg.retry_escalation ** float_of_int attempt in
-    let node_limit =
-      let n = float_of_int base.Branch_bound.node_limit *. f in
-      if Tol.gt n 10_000_000. then 10_000_000 else int_of_float n
-    in
-    let time_limit =
-      Float.min (base.Branch_bound.time_limit *. f) deadline_left
-    in
-    { base with Branch_bound.node_limit; time_limit }
-  in
   (* Hook guard: hooks observe, they must not kill the run.  [Abort] is
      the one exception with sanctioned pass-through — it is the
      cooperative-interrupt signal. *)
@@ -597,8 +556,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
       Log.warn (fun l -> l "inspection hook failed: %s" msg);
       run_degr := (!step_no, Degradation.Hook_failed msg) :: !run_degr
   in
-  let commit ~step_start ~time_budget ~n_cand ~retries ~extra_degr
-      ~new_remaining e =
+  let commit ~step_start ~time_budget ~n_cand ~extra_degr ~new_remaining e =
     incr step_no;
     placement := e.e_placement;
     skyline := e.e_skyline;
@@ -625,7 +583,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
         step_time = Unix.gettimeofday () -. step_start;
         time_budget;
         candidates_evaluated = n_cand;
-        retries;
+        retries = 0;
         degradations;
       }
     in
@@ -651,43 +609,44 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
       guard_hook "on_model" (fun () -> i.on_model e.e_built);
       guard_hook "on_step" (fun () -> i.on_step stat !placement))
   in
-  (* One attempt at the head step: evaluate up to [candidates] groups,
-     pick the lowest-skyline one.  Returns the committed-or-retryable
-     verdict; candidate failures are excluded from selection. *)
-  let attempt_candidates ~milp =
+  (* The step's one search: evaluate up to [candidates] groups against
+     the same partial floorplan, concurrently when there are several,
+     and pick the lowest-skyline one.  Candidate failures are excluded
+     from selection. *)
+  let evaluate_candidates ~milp =
     let n_cand = Int.min cfg.candidates (List.length !remaining) in
     let cands =
       Array.of_list (List.filteri (fun i _ -> i < n_cand) !remaining)
     in
-    let eval1 ~pool ~milp k =
-      try
-        Ok
-          (evaluate cfg nl ~chip_width ~skyline:!skyline
-             ~placement:!placement ~pool ~mode:(`Solve milp) cands.(k))
-      with
-      | Abort -> raise Abort
-      | exn -> Error (Printexc.to_string exn)
+    (* The candidate fault decides on the calling domain, in candidate
+       order, before any evaluation starts, so a counted spec kills the
+       same candidates under any schedule. *)
+    let killed = Array.init n_cand (fun _ -> Fault.fire site_candidate) in
+    let eval1 k =
+      if killed.(k) then
+        Error (Printexc.to_string (Fault.Injected site_candidate))
+      else
+        try
+          Ok
+            (evaluate cfg nl ~chip_width ~skyline:!skyline
+               ~placement:!placement ~mode:(`Solve milp) cands.(k))
+        with
+        | Abort -> raise Abort
+        | exn -> Error (Printexc.to_string exn)
     in
     let worker_failure = ref None in
     let evals =
-      if n_cand = 1 then
-        (* Single candidate: all the parallelism goes into the MILP
-           itself, which shares the run-wide pool. *)
-        [| eval1 ~pool ~milp 0 |]
+      if n_cand = 1 then [| eval1 0 |]
       else begin
-        (* Several candidates: one per pool task, each MILP sequential
-           inside its task — pool batches must not nest. *)
-        match pool with
-        | Some p -> (
-          try Pool.map p ~n:n_cand (fun ~worker:_ k -> eval1 ~pool:None ~milp k)
-          with
-          | Abort -> raise Abort
-          | exn ->
-            (* The pool itself failed; evaluate sequentially on the
-               calling domain instead of giving up on the step. *)
-            worker_failure := Some (Printexc.to_string exn);
-            Array.init n_cand (eval1 ~pool:None ~milp))
-        | None -> Array.init n_cand (eval1 ~pool:None ~milp)
+        (* One domain per candidate, never more than the machine has. *)
+        let jobs = Int.min n_cand (Domain.recommended_domain_count ()) in
+        try Pool.map ~jobs ~n:n_cand (fun ~worker:_ k -> eval1 k) with
+        | Abort -> raise Abort
+        | exn ->
+          (* The batch itself failed; evaluate sequentially on the
+             calling domain instead of giving up on the step. *)
+          worker_failure := Some (Printexc.to_string exn);
+          Array.init n_cand eval1
       end
     in
     let failures = ref [] in
@@ -709,7 +668,7 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
     in
     (* Commit the candidate with the lowest resulting skyline; ties go
        to the earliest candidate in the ordering, so the choice is
-       independent of how the pool scheduled the evaluations. *)
+       independent of how the batch scheduled the evaluations. *)
     let best =
       List.fold_left
         (fun acc (i, e) ->
@@ -743,18 +702,18 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
          let group = List.hd !remaining in
          let e =
            evaluate cfg nl ~chip_width ~skyline:!skyline
-             ~placement:!placement ~pool:None
+             ~placement:!placement
              ~mode:(`Warm_only Degradation.Deadline_truncated) group
          in
-         commit ~step_start ~time_budget:0. ~n_cand:0 ~retries:0
-           ~extra_degr:[] ~new_remaining:(List.tl !remaining) e
+         commit ~step_start ~time_budget:0. ~n_cand:0 ~extra_degr:[]
+           ~new_remaining:(List.tl !remaining) e
        end
        else begin
          (* Apportion what is left of the run budget over the steps
             still to do, never exceeding the configured per-step cap. *)
          let steps_left = List.length !remaining in
          let share = deadline_left /. float_of_int steps_left in
-         let base_milp =
+         let milp =
            { cfg.milp with
              Branch_bound.time_limit =
                Float.min cfg.milp.Branch_bound.time_limit share;
@@ -764,63 +723,24 @@ let run ?(config = default_config) ?resume ?pool:shared_pool nl =
                 recorded benchmarks) bit-identical. *)
              propagate = cfg.formulation <> Formulation.Basic }
          in
-         let rec attempt k =
-           let milp = escalate base_milp k ~deadline_left in
-           let n_cand, extra_degr, best = attempt_candidates ~milp in
-           let retry_degr =
-             if k > 0 then [ Degradation.Retry_escalated k ] else []
+         let n_cand, extra_degr, best = evaluate_candidates ~milp in
+         let time_budget = milp.Branch_bound.time_limit in
+         match best with
+         | Some (bi, e) ->
+           commit ~step_start ~time_budget ~n_cand ~extra_degr
+             ~new_remaining:(List.filteri (fun i _ -> i <> bi) !remaining)
+             e
+         | None ->
+           (* Nothing evaluable: commit the head group geometrically so
+              the run still terminates with a feasible floorplan. *)
+           let group = List.hd !remaining in
+           let e =
+             evaluate cfg nl ~chip_width ~skyline:!skyline
+               ~placement:!placement
+               ~mode:(`Warm_only Degradation.Raw_warm_packing) group
            in
-           match best with
-           | Some (bi, e) ->
-             (* Budget-type shortfalls — no incumbent at all, or an
-                incumbent that never improved on the warm packing — are
-                exactly what a bigger budget can fix: retry before
-                settling.  Infeasibility is not retried (no budget can
-                fix it; the warm fallback commits immediately). *)
-             let budget_shortfall =
-               (e.e_outcome.Branch_bound.best = None
-               && e.e_outcome.Branch_bound.status = Branch_bound.No_solution)
-               || List.mem Degradation.Budget_exhausted_warm_fallback
-                    e.e_degradations
-             in
-             if budget_shortfall && k < cfg.max_retries then begin
-               Log.info (fun f ->
-                   f "step stuck at its warm start; retry %d with escalated \
-                      budget"
-                     (k + 1));
-               attempt (k + 1)
-             end
-             else
-               commit ~step_start
-                 ~time_budget:milp.Branch_bound.time_limit ~n_cand
-                 ~retries:k ~extra_degr:(retry_degr @ extra_degr)
-                 ~new_remaining:
-                   (List.filteri (fun i _ -> i <> bi) !remaining)
-                 e
-           | None ->
-             if k < cfg.max_retries then begin
-               Log.warn (fun f ->
-                   f "every candidate failed; retry %d with escalated budget"
-                     (k + 1));
-               attempt (k + 1)
-             end
-             else begin
-               (* Out of retries with nothing evaluable: commit the head
-                  group geometrically so the run still terminates with a
-                  feasible floorplan. *)
-               let group = List.hd !remaining in
-               let e =
-                 evaluate cfg nl ~chip_width ~skyline:!skyline
-                   ~placement:!placement ~pool:None
-                   ~mode:(`Warm_only Degradation.Raw_warm_packing) group
-               in
-               commit ~step_start
-                 ~time_budget:milp.Branch_bound.time_limit ~n_cand
-                 ~retries:k ~extra_degr:(retry_degr @ extra_degr)
-                 ~new_remaining:(List.tl !remaining) e
-             end
-         in
-         attempt 0
+           commit ~step_start ~time_budget ~n_cand ~extra_degr
+             ~new_remaining:(List.tl !remaining) e
        end
      done
    with Abort ->

@@ -24,13 +24,12 @@
     placement of its group, and every way a step falls short of the
     clean optimizing path is recorded as a {!Degradation.t} in the
     step's {!step_stat} and in the run's {!result} — never only as a
-    log line.  The ladder, top to bottom: solve the MILP; retry with
-    escalated node/time budgets ([max_retries], [retry_escalation]) on
-    budget-type failures; fall back to the step's warm bottom-left
-    packing; commit the packing geometrically even when its MILP
-    encoding is rejected.  A run-level deadline ([run_time_limit]) is
-    apportioned over the remaining steps and, once expired, remaining
-    groups are committed warm-only ([Deadline_truncated]).  With
+    log line.  The ladder, top to bottom: solve the MILP once; fall back
+    to the step's warm bottom-left packing; commit the packing
+    geometrically even when its MILP encoding is rejected.  A run-level
+    deadline ([run_time_limit]) is apportioned over the remaining steps
+    and, once expired, remaining groups are committed warm-only
+    ([Deadline_truncated]).  With
     [checkpoint] set, a journal ({!Journal}) is written after every
     committed step; an interrupted run resumed from it ([?resume])
     reproduces the uninterrupted run's floorplan bit-for-bit.
@@ -38,8 +37,9 @@
     Fault sites (for {!Fp_util.Fault}): ["augment.hook"] makes an
     inspection hook fail (recorded as [Hook_failed], run continues);
     ["augment.candidate_milp"] kills one candidate evaluation (recorded
-    as [Candidate_failed]; the step retries when no candidate
-    survives).  See [docs/robustness.md]. *)
+    as [Candidate_failed]; when no candidate survives, the head group's
+    warm packing is committed as [Raw_warm_packing]).  See
+    [docs/robustness.md]. *)
 
 type envelope_config = {
   pitch_h : float;
@@ -63,19 +63,18 @@ type step_stat = {
   refactorizations : int;        (** basis refactorizations across node LPs *)
   warm_height : float;           (** bottom-left incumbent height *)
   step_height : float;           (** chip height after this step *)
-  step_time : float;             (** seconds, including rejected candidates
-                                     and retries *)
+  step_time : float;             (** seconds, including rejected candidates *)
   time_budget : float;
-      (** MILP wall-clock budget the committed attempt ran under — the
-          per-step cap, shrunk by run-deadline apportionment, grown by
-          retry escalation; [0] for deadline-truncated steps *)
+      (** MILP wall-clock budget the step ran under — the per-step cap,
+          shrunk by run-deadline apportionment; [0] for
+          deadline-truncated steps *)
   candidates_evaluated : int;
       (** candidate groups whose MILPs were solved this step; the stats
           above describe only the committed one.  [0] for
           deadline-truncated steps (no MILP ran) *)
   retries : int;
-      (** escalated re-attempts before this step committed; [0] on the
-          clean path *)
+      (** always [0]: every step runs its search once.  Kept so that
+          readers of the field keep compiling. *)
   degradations : Degradation.t list;
       (** every way this step fell short of the clean optimizing path;
           empty on a healthy step *)
@@ -151,22 +150,16 @@ type config = {
       (** run {!Formulation.self_check} on every step's model (raises on
           a structurally broken formulation) *)
   inspect : inspect option;  (** observation hooks; [None] by default *)
-  jobs : int;
-      (** worker domains for the whole run (default [1]).  One
-          {!Fp_util.Pool} is created up front and shared by every step:
-          with [candidates = 1] it parallelizes each step's MILP search
-          (see {!Fp_milp.Branch_bound}); with [candidates > 1] it
-          evaluates candidate groups concurrently, one per domain.  The
-          result is identical for every [jobs] value. *)
   candidates : int;
       (** candidate next groups evaluated per step (default [1]).  The
           first [candidates] groups of the remaining ordering are each
-          formulated and solved against the same partial floorplan; the
-          one yielding the lowest skyline is committed (ties go to the
-          earliest in the ordering) and the rest return to the queue.
-          Changes the greedy search — results differ from
-          [candidates = 1] by construction — but stays deterministic for
-          a fixed config. *)
+          formulated and solved against the same partial floorplan,
+          concurrently on up to [Domain.recommended_domain_count ()]
+          domains ({!Fp_util.Pool}); the one yielding the lowest skyline
+          is committed (ties go to the earliest in the ordering) and the
+          rest return to the queue.  Changes the greedy search — results
+          differ from [candidates = 1] by construction — but stays
+          deterministic for a fixed config. *)
   run_time_limit : float option;
       (** run-level wall-clock budget in seconds (default [None]).  The
           remaining budget is re-apportioned before every step —
@@ -174,12 +167,6 @@ type config = {
           time limit; once the budget is spent, remaining groups are
           committed from their warm packings ([Deadline_truncated]).
           The run {e always} finishes with a full feasible placement. *)
-  max_retries : int;
-      (** escalated re-attempts for a step whose MILP found no solution
-          or whose candidates all failed (default [2]) *)
-  retry_escalation : float;
-      (** node/time budget multiplier per retry (default [4.]); node
-          budgets are capped at 10 million *)
   checkpoint : string option;
       (** journal path (default [None]).  When set, a {!Journal} is
           written atomically after {e every} committed step; pass the
@@ -190,9 +177,8 @@ type config = {
 val default_config : config
 (** group size 4, linear ordering, area objective, rotation on, secant
     linearization, covering on, no envelopes, MILP budget 4000 nodes /
-    20 s per step, no checks, no hooks, sequential ([jobs = 1],
-    [candidates = 1]), no run deadline, 2 retries at 4x escalation, no
-    checkpoint. *)
+    20 s per step, no checks, no hooks, one candidate per step, no run
+    deadline, no checkpoint. *)
 
 exception Abort
 (** Cooperative interrupt: raised by an inspection hook to stop the run
@@ -217,16 +203,14 @@ type result = {
 
 val config_digest : config -> string
 (** Hex MD5 of the configuration fields that shape the placement
-    trajectory.  Excludes [jobs] (and the MILP's [ramp_nodes]) —
-    determinism holds across worker counts, so a checkpoint taken at
-    [--jobs 4] may be resumed at [--jobs 1] — and the observational
-    fields ([check], [inspect], [checkpoint]); closures contribute
-    presence only. *)
+    trajectory.  Excludes the observational fields ([check], [inspect],
+    [checkpoint]); closures contribute presence only.  The removed retry
+    ladder's defaults are still rendered, so journals written before its
+    removal resume. *)
 
 val run :
   ?config:config ->
   ?resume:Journal.t ->
-  ?pool:Fp_util.Pool.t ->
   Fp_netlist.Netlist.t ->
   result
 (** Run the full successive-augmentation floorplanner on an instance.
@@ -237,12 +221,6 @@ val run :
     same {!config_digest} and the same instance; the run continues from
     the journaled partial placement and remaining ordering, and the
     final floorplan is bit-identical to the uninterrupted run's.
-
-    [pool], when given, is used for the whole run instead of creating
-    one from [config.jobs], and is {e not} shut down on return — the
-    portfolio layer lends one pool to several engines.  The caller must
-    respect the pool's no-nesting rule: [run] must then be called from
-    the pool-owning domain, not from inside one of its tasks.
 
     @raise Invalid_argument on an instance with no modules, a chip
     width too small for some module, or a checkpoint/config/instance

@@ -3,18 +3,16 @@ type t =
   | Raw_warm_packing
   | Net_bound_dropped of string list
   | Numerical_recovery of int
-  | Retry_escalated of int
   | Deadline_truncated
   | Hook_failed of string
   | Candidate_failed of string
   | Worker_failure of string
-  | Task_lost of int
   | Outline_exceeded of float
   | Engine_failed of string
 
 let severity = function
-  | Numerical_recovery _ | Task_lost _ | Hook_failed _ | Candidate_failed _
-  | Worker_failure _ | Retry_escalated _ | Engine_failed _ -> 0
+  | Numerical_recovery _ | Hook_failed _ | Candidate_failed _
+  | Worker_failure _ | Engine_failed _ -> 0
   | Budget_exhausted_warm_fallback | Deadline_truncated -> 1
   | Net_bound_dropped _ | Raw_warm_packing | Outline_exceeded _ -> 2
 
@@ -31,12 +29,10 @@ let to_string = function
   | Net_bound_dropped nets ->
     Printf.sprintf "net_bound_dropped(%s)" (String.concat "," nets)
   | Numerical_recovery n -> Printf.sprintf "numerical_recovery(%d)" n
-  | Retry_escalated n -> Printf.sprintf "retry_escalated(%d)" n
   | Deadline_truncated -> "deadline_truncated"
   | Hook_failed msg -> Printf.sprintf "hook_failed(%s)" (clean msg)
   | Candidate_failed msg -> Printf.sprintf "candidate_failed(%s)" (clean msg)
   | Worker_failure msg -> Printf.sprintf "worker_failure(%s)" (clean msg)
-  | Task_lost n -> Printf.sprintf "task_lost(%d)" n
   | Outline_exceeded by -> Printf.sprintf "outline_exceeded(%g)" by
   | Engine_failed msg -> Printf.sprintf "engine_failed(%s)" (clean msg)
 

@@ -27,9 +27,6 @@ type t =
           basis fell back to cold, or an iteration-limited LP retreated
           to its parent bound); the answer stands, the numerics were
           stressed *)
-  | Retry_escalated of int
-      (** the step initially failed and succeeded only after [n]
-          retries with escalated node/time budgets *)
   | Deadline_truncated
       (** the run-level time budget expired before this step; the group
           was committed from its warm packing without running a MILP *)
@@ -42,9 +39,6 @@ type t =
   | Worker_failure of string
       (** the worker pool failed while evaluating candidates; the step
           fell back to sequential evaluation *)
-  | Task_lost of int
-      (** [n] branch-and-bound frontier tasks vanished and were re-run
-          inline (see {!Fp_milp.Branch_bound.outcome.tasks_lost}) *)
   | Outline_exceeded of float
       (** the committed plan overflows the requested fixed outline by
           the given amount (the larger of the per-axis overshoots); the
@@ -58,9 +52,8 @@ type t =
 val severity : t -> int
 (** Coarse rank for sorting and for deciding a run's overall verdict:
     [0] — informational, result quality unaffected
-    ([Numerical_recovery], [Task_lost], [Hook_failed],
-    [Candidate_failed], [Worker_failure], [Retry_escalated],
-    [Engine_failed]);
+    ([Numerical_recovery], [Hook_failed], [Candidate_failed],
+    [Worker_failure], [Engine_failed]);
     [1] — quality degraded but constraints hold
     ([Budget_exhausted_warm_fallback], [Deadline_truncated]);
     [2] — a stated constraint was relaxed ([Net_bound_dropped],
@@ -73,7 +66,7 @@ val degrades_quality : t -> bool
 val to_string : t -> string
 (** Stable, machine-greppable rendering, e.g.
     ["budget_exhausted_warm_fallback"], ["net_bound_dropped(n3,n7)"],
-    ["retry_escalated(2)"]. *)
+    ["numerical_recovery(2)"]. *)
 
 val pp : Format.formatter -> t -> unit
 

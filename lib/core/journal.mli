@@ -17,8 +17,8 @@
 type t = {
   config_digest : string;
       (** hex MD5 of the run configuration's canonical rendering —
-          everything that affects the placement trajectory (notably NOT
-          [jobs]: determinism holds across worker counts) *)
+          everything that affects the placement trajectory (see
+          {!Augment.config_digest}) *)
   instance_digest : string;  (** hex MD5 of the instance's text form *)
   chip_width : float;
   steps_done : int;          (** committed augmentation steps *)

@@ -66,7 +66,7 @@ let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
     let cfg =
       { cfg with Augment.inspect = with_abort_poll ctx.Solver.abort cfg.Augment.inspect }
     in
-    let res = Augment.run ~config:cfg ?resume ?pool:ctx.Solver.pool nl in
+    let res = Augment.run ~config:cfg ?resume nl in
     let pl =
       (* Same epilogue as the CLI's plan path: finishing passes expect a
          complete floorplan; an interrupted run reports its partial

@@ -13,8 +13,7 @@
     objective to [Min_height_plus_wire]; [time_budget] becomes the
     run-level deadline ([run_time_limit]); [checkpoint] is the journal
     path.  The context's abort flag is polled after every committed
-    step (via an inspection hook raising {!Fp_core.Augment.Abort}), and
-    the context pool, when present, is lent to the whole run. *)
+    step (via an inspection hook raising {!Fp_core.Augment.Abort}). *)
 
 val make :
   ?config:Fp_core.Augment.config ->

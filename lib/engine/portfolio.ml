@@ -36,25 +36,18 @@ let race ?(policy = Best_certified) ?jobs ~engines ~scenario nl =
   let t0 = Unix.gettimeofday () in
   let engines = Array.of_list engines in
   let n = Array.length engines in
-  let jobs = Int.max 1 (Int.min n (Option.value jobs ~default:n)) in
+  let jobs = Option.value jobs ~default:n in
   let abort = Abort.create () in
   let deadline =
     Option.map (fun b -> t0 +. b) scenario.Solver.time_budget
   in
   (* One context per engine, built before any task runs: a private RNG
      seeded identically for every engine (engines differ, streams must
-     not depend on pool scheduling), the shared abort flag, the shared
-     absolute deadline.  No engine gets the racer's pool — its workers
-     are busy being the race lanes. *)
+     not depend on batch scheduling), the shared abort flag, the shared
+     absolute deadline. *)
   let contexts =
     Array.map
-      (fun _ ->
-        {
-          Solver.rng = Rng.create scenario.Solver.seed;
-          pool = None;
-          abort;
-          deadline;
-        })
+      (fun _ -> { Solver.rng = Rng.create scenario.Solver.seed; abort; deadline })
       engines
   in
   let results = Array.make n None in
@@ -86,11 +79,10 @@ let race ?(policy = Best_certified) ?jobs ~engines ~scenario nl =
         Abort.signal abort
       end
   in
-  Pool.with_pool ~jobs (fun pool ->
-      match policy with
-      | Best_certified -> Pool.run pool ~n (fun ~worker:_ i -> run_one i)
-      | First_certified ->
-        Pool.run ~abort pool ~n (fun ~worker:_ i -> run_one i));
+  (match policy with
+  | Best_certified -> Pool.run ~jobs ~n (fun ~worker:_ i -> run_one i)
+  | First_certified ->
+    Pool.run ~abort ~jobs ~n (fun ~worker:_ i -> run_one i));
   let entries =
     List.init n (fun i ->
         match results.(i) with

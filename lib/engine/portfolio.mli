@@ -1,10 +1,10 @@
 (** Race several {!Solver.t}s on one scenario and keep the best plan.
 
     The racer runs every selected engine concurrently, one engine per
-    task on its own {!Fp_util.Pool} (created for the race, [jobs]
-    clamped to the engine count), each with a private RNG stream and
-    all sharing one {!Fp_util.Abort} flag and one absolute deadline
-    derived from the scenario's [time_budget].
+    task of one {!Fp_util.Pool} batch ([jobs] clamped to the engine
+    count), each with a private RNG stream and all sharing one
+    {!Fp_util.Abort} flag and one absolute deadline derived from the
+    scenario's [time_budget].
 
     Two policies:
 

@@ -14,10 +14,10 @@
     - the {!scenario} is {e what to solve} — seed, outline, wirelength
       weight, wall-clock budget, checkpoint path.  It is shared verbatim
       by every engine in a portfolio so they race on the same problem;
-    - the {!context} is {e how to run} — the RNG stream, an optional
-      shared {!Fp_util.Pool}, the cooperative {!Fp_util.Abort} flag and
-      the absolute deadline.  It is owned by the caller, so a racer can
-      hand each engine its own stream and signal all of them at once.
+    - the {!context} is {e how to run} — the RNG stream, the
+      cooperative {!Fp_util.Abort} flag and the absolute deadline.  It
+      is owned by the caller, so a racer can hand each engine its own
+      stream and signal all of them at once.
 
     Engines must be deterministic for a fixed scenario + seed when no
     deadline or abort fires; wall-clock truncation is inherently
@@ -48,10 +48,6 @@ type context = {
   rng : Fp_util.Rng.t;
       (** the engine's private stream — callers create one per engine
           from the scenario seed so racing engines never share *)
-  pool : Fp_util.Pool.t option;
-      (** shared worker pool, if the caller lends one.  An engine must
-          not shut it down, and must not use it from inside another
-          pool's task (no nesting) *)
   abort : Fp_util.Abort.t;
       (** cooperative cancellation; engines poll it at their safe
           points and return their best-so-far when it is set *)
@@ -61,7 +57,7 @@ type context = {
           {!of_scenario} *)
 }
 
-val of_scenario : ?pool:Fp_util.Pool.t -> scenario -> context
+val of_scenario : scenario -> context
 (** Fresh context for a standalone run: a new RNG from the scenario
     seed, a new abort flag, and the deadline anchored at now +
     [time_budget]. *)

@@ -740,7 +740,6 @@ type start = {
 }
 
 let start snap = { snap; lu = None }
-let start_snapshot s = s.snap
 
 let factors_of ws s =
   match s.lu with

@@ -84,9 +84,6 @@ type start
 
 val start : snapshot -> start
 
-val start_snapshot : start -> snapshot
-(** The snapshot [start] was made from. *)
-
 val resolve : workspace -> start option -> result * stats
 (** [resolve ws None] is a cold solve of the workspace's problem under
     its current bounds; [resolve ws (Some s)] a warm solve from [s], as

@@ -19,28 +19,17 @@
       effective from the first node;
     - node- and time-budgets: when exhausted the best incumbent is
       returned with status [Feasible], mirroring how LINDO was used on a
-      4-MIPS Apollo workstation;
-    - optional multi-domain search (a {!Fp_util.Pool} of more than one
-      worker passed to {!solve}): a short sequential ramp-up captures
-      the unexplored frontier, whose subtrees are then explored on the
-      pool's domains, each with its own copy of the problem and its own
-      simplex state.
+      4-MIPS Apollo workstation.
 
-    The search is deterministic given the model and parameters: the
-    parallel search replays the sequential one exactly (same incumbent,
-    same node count, independent of domain scheduling), at the cost of
-    re-exploring subtrees whose speculative pruning bound turned out
-    stale.  Each pool task writes only its own domain's search state;
-    no incumbent is shared between domains.  See [docs/parallel.md].
+    The search is sequential and deterministic given the model and a
+    node budget (a time limit stops it at a timing-dependent node).
+    Why there is no parallel search: see [docs/parallel.md].
 
-    Fault sites (for {!Fp_util.Fault}, exercised by the resilience
+    Fault site (for {!Fp_util.Fault}, exercised by the resilience
     tests): ["branch_bound.budget"] forces the budget check to report
     exhaustion, exercising the anytime path (best incumbent — usually
-    the caller's warm start — returned as [Feasible]/[No_solution]);
-    ["branch_bound.task_loss"] drops a frontier task's result, which the
-    consume loop recovers by re-running the subtree inline under the
-    exact sequential contract (counted in [tasks_lost]).  See
-    [docs/robustness.md]. *)
+    the caller's warm start — returned as [Feasible]/[No_solution]).
+    See [docs/robustness.md]. *)
 
 type params = {
   node_limit : int;        (** maximum branch-and-bound nodes (default 200_000) *)
@@ -48,10 +37,6 @@ type params = {
   min_improvement : float; (** required objective improvement before a node
                                survives pruning; raising it trades quality
                                for speed (default 1e-7) *)
-  ramp_nodes : int;
-      (** nodes explored sequentially before the frontier is handed to
-          the pool (default [32]).  Larger values seed more, smaller
-          tasks; only meaningful when {!solve} gets a [pool]. *)
   propagate : bool;
       (** run {!Fp_lp.Lp_problem.propagate_bounds} (interval propagation
           with integer snapping) at every node before its LP (default
@@ -59,9 +44,7 @@ type params = {
           whose objective box bound already meets the cutoff is pruned
           without counting as a node or solving an LP — on big-M
           disjunction models most infeasible branch combinations die
-          here.  Propagated bounds ride the task trail, so parallel
-          replay stays bit-identical.  Enabled by the [Tight]
-          formulation mode. *)
+          here.  Enabled by the [Tight] formulation mode. *)
 }
 (** The search itself is fixed: child LPs warm-start from the parent
     basis, the branching variable is the first fractional integer
@@ -96,9 +79,7 @@ type work = {
           parent-bound retreat.  Nonzero values mean the answer is still
           trustworthy but the numerics were stressed. *)
 }
-(** Search effort.  One record counts a domain's work while it
-    searches, is that domain's [per_domain] entry, and (summed over the
-    domains) is the outcome's total. *)
+(** Search effort, counted while the search runs. *)
 
 val no_work : work
 (** All counters zero. *)
@@ -108,39 +89,15 @@ type outcome = {
   best : (float array * float) option;
       (** incumbent point and objective (original sense, constant
           included) *)
-  work : work;
-      (** the sum of [per_domain]: {e all} work the search performed,
-          including parallel speculation that the replay later discarded
-          — the honest parallel cost, not the sequential-equivalent
-          cost *)
-  tasks_lost : int;
-      (** frontier-task results that vanished (worker failure or
-          injected fault) and were re-run inline; [0] in healthy runs *)
+  work : work;  (** all work the search performed *)
   root_bound : float;
       (** LP-relaxation bound at the root, original sense *)
-  per_domain : work array;
-      (** one entry per worker domain (entry [0] is the calling domain,
-          which also performed the ramp-up); a single entry for
-          sequential runs *)
-  frontier_tasks : int;
-      (** subtrees captured by the ramp-up and handed to the pool; [0]
-          for sequential runs and for trees the ramp-up exhausted *)
-  waves : int;
-      (** speculative parallel waves launched; [1] when no task's
-          pruning bound went stale, [0] for sequential runs *)
 }
 
-val solve :
-  ?params:params -> ?warm:float array -> ?pool:Fp_util.Pool.t -> Model.t ->
-  outcome
+val solve : ?params:params -> ?warm:float array -> Model.t -> outcome
 (** [solve model] runs the search over the model's fixed row set; only
     variable bounds change from node to node.  [warm], when given, must
     be feasible and integral (checked; silently ignored otherwise — a
-    bad warm start must never corrupt the search).
-
-    [pool], when given with more than one worker, runs the search on
-    its domains; without it the search is sequential.  The caller owns
-    the pool, so one pool amortizes domain spawning across many [solve]
-    calls — [Fp_core.Augment.run] does exactly that.  The
-    caller must not invoke [solve] with the same pool from two domains
-    at once (see {!Fp_util.Pool.run} on nesting). *)
+    bad warm start must never corrupt the search).  The model's problem
+    is mutated during the search and restored on return, so concurrent
+    solves need separate models. *)

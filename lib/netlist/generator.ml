@@ -77,7 +77,10 @@ let generate cfg =
         while Hashtbl.length members < degree && !attempts < 50 do
           incr attempts;
           let off = Rng.int rng (2 * window) - window in
-          let m = (anchor + off + k) mod k in
+          (* [off] can be below [-k] when the window exceeds k (k = 2),
+             so take the non-negative remainder. *)
+          let m = (anchor + off) mod k in
+          let m = if m < 0 then m + k else m in
           Hashtbl.replace members m ()
         done;
         let pins =

@@ -9,16 +9,14 @@ exception Injected of string
 let builtin =
   [
     ( "augment.candidate_milp",
-      "candidate-group MILP evaluation dies; surviving candidates, retry \
-       ladder or raw warm packing decide the step" );
+      "candidate-group MILP evaluation dies; surviving candidates or the \
+       raw warm packing decide the step" );
     ( "augment.hook",
       "inspection hook raises; contained, the run continues" );
     ( "basis.singular_lu",
       "singular LU while factorizing a warm basis; cold re-solve" );
     ( "branch_bound.budget",
-      "node/time budget exhausted; retry ladder, then warm fallback" );
-    ( "branch_bound.task_loss",
-      "parallel frontier task lost; inline re-run, bit-identical result" );
+      "node/time budget exhausted; warm fallback" );
     ( "pool.worker_exn",
       "worker domain crashes mid-task; candidate evaluation falls back to \
        sequential" );

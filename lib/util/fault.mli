@@ -2,15 +2,15 @@
 
     The resilience layer of this repository promises that every failure
     mode of the solve engine — a singular LU factorization, a stalled
-    simplex, an exhausted branch-and-bound budget, a lost parallel task,
-    a crashing worker or hook — degrades gracefully to a certified
-    feasible floorplan.  A promise like that is only worth anything if
-    every recovery path can be {e exercised on demand}, from tests and
-    from the bench fault matrix.  This module is the switchboard: each
-    instrumented module registers its fault {e sites} by name at load
-    time, and a driver arms a site with a {!spec} before a run.  The
-    instrumented code then asks {!fire} ("should this hit fail?") or
-    calls {!trip} (raise {!Injected}) at the site.
+    simplex, an exhausted branch-and-bound budget, a crashing worker or
+    hook — degrades gracefully to a certified feasible floorplan.  A
+    promise like that is only worth anything if every recovery path can
+    be {e exercised on demand}, from tests and from the bench fault
+    matrix.  This module is the switchboard: each instrumented module
+    registers its fault {e sites} by name at load time, and a driver
+    arms a site with a {!spec} before a run.  The instrumented code then
+    asks {!fire} ("should this hit fail?") or calls {!trip} (raise
+    {!Injected}) at the site.
 
     Nothing is armed by default, and the disarmed fast path is a single
     atomic load, so production runs pay (almost) nothing.
@@ -19,9 +19,10 @@
     exact hit indices, so a sequential run injects identically every
     time.  Probabilistic specs draw from a private SplitMix64 stream
     seeded by [seed]; given the same hit order the decisions replay
-    exactly.  Under multiple domains the global hit order depends on
-    scheduling — the {e recovery} paths are engineered to keep the final
-    floorplan deterministic anyway (see docs/robustness.md).
+    exactly.  Under several domains (concurrent candidate groups) the
+    hit order of sites inside the candidates' searches depends on
+    scheduling, so a counted spec there hits a schedule-dependent
+    candidate (see docs/robustness.md).
 
     {b Registry.}  Sites register themselves when their module is
     initialized; linking the solve stack therefore populates

@@ -524,31 +524,6 @@ let test_augment_modes_match_height () =
   in
   checkf "tight height" (run Formulation.Basic) (run Formulation.Tight)
 
-let test_augment_tight_jobs_deterministic () =
-  (* Parallel replay stays bit-identical in tight mode: frontier tasks
-     carry propagated bounds.  [ramp_nodes = 1] hands each step's tree
-     to the pool after its root node, so [jobs = 2] really runs the
-     frontier in parallel. *)
-  let nl =
-    Generator.generate
-      { Generator.default_config with Generator.num_modules = 9; seed = 31 }
-  in
-  let run jobs =
-    (Augment.run
-       ~config:
-         { Augment.default_config with
-           Augment.group_size = 3; jobs; formulation = Formulation.Tight;
-           milp =
-             { Augment.default_config.Augment.milp with BB.ramp_nodes = 1 } }
-       nl)
-      .Augment.placement
-  in
-  let ref_pl = run 1 in
-  let pl = run 2 in
-  checkf "height jobs=2" ref_pl.Placement.height pl.Placement.height;
-  Alcotest.(check bool) "identical rects" true
-    (Placement.rects pl = Placement.rects ref_pl)
-
 (* ---------------------------- warm start ---------------------------- *)
 
 let test_warm_start_no_overlap () =
@@ -642,61 +617,33 @@ let test_augment_deterministic () =
   checkf "same height" a.Augment.placement.Placement.height
     b.Augment.placement.Placement.height
 
-let test_augment_jobs_deterministic () =
-  (* With the default deterministic MILP mode, the floorplan must be
-     bit-identical whatever the worker count. *)
-  let nl =
-    Generator.generate
-      { Generator.default_config with Generator.num_modules = 9; seed = 31 }
-  in
-  let run jobs =
-    (Augment.run ~config:{ small_cfg with Augment.jobs } nl).Augment.placement
-  in
-  let ref_pl = run 1 in
-  List.iter
-    (fun jobs ->
-      let pl = run jobs in
-      checkf
-        (Printf.sprintf "height at jobs=%d" jobs)
-        ref_pl.Placement.height pl.Placement.height;
-      Alcotest.(check bool)
-        (Printf.sprintf "identical rects at jobs=%d" jobs)
-        true
-        (Placement.rects pl = Placement.rects ref_pl))
-    [ 2; 4 ]
-
 let test_augment_candidates_concurrent () =
-  (* candidates > 1 changes the greedy search, but serial and parallel
-     candidate evaluation must agree, and the stats must record how many
-     candidates were tried. *)
+  (* candidates > 1 changes the greedy search, and the candidates are
+     evaluated concurrently; the commit must not depend on how the batch
+     was scheduled, and the stats must record how many candidates were
+     tried. *)
   let nl =
     Generator.generate
       { Generator.default_config with Generator.num_modules = 8; seed = 32 }
   in
-  let run jobs =
-    Augment.run
-      ~config:{ small_cfg with Augment.candidates = 3; jobs }
-      nl
+  let run () =
+    Augment.run ~config:{ small_cfg with Augment.candidates = 3 } nl
   in
-  let serial = run 1 and parallel = run 3 in
+  let a = run () and b = run () in
   Alcotest.(check int) "all placed" 8
-    (Placement.num_placed serial.Augment.placement);
+    (Placement.num_placed a.Augment.placement);
   Alcotest.(check bool) "valid" true
-    (Placement.valid serial.Augment.placement = Ok ());
-  checkf "serial = parallel height" serial.Augment.placement.Placement.height
-    parallel.Augment.placement.Placement.height;
+    (Placement.valid a.Augment.placement = Ok ());
+  checkf "repeat height" a.Augment.placement.Placement.height
+    b.Augment.placement.Placement.height;
   Alcotest.(check bool) "identical rects" true
-    (Placement.rects serial.Augment.placement
-    = Placement.rects parallel.Augment.placement);
-  let first = List.hd serial.Augment.steps in
+    (Placement.rects a.Augment.placement = Placement.rects b.Augment.placement);
+  let first = List.hd a.Augment.steps in
   Alcotest.(check int) "first step tried 3 candidates" 3
     first.Augment.candidates_evaluated
 
 let test_augment_rejects_bad_parallel_config () =
   let nl = two_module_nl () in
-  Alcotest.check_raises "jobs < 1" (Invalid_argument "Augment.run: jobs < 1")
-    (fun () ->
-      ignore (Augment.run ~config:{ small_cfg with Augment.jobs = 0 } nl));
   Alcotest.check_raises "candidates < 1"
     (Invalid_argument "Augment.run: candidates < 1") (fun () ->
       ignore
@@ -996,8 +943,6 @@ let () =
             test_per_pair_m_monotone;
           Alcotest.test_case "augment modes match height" `Slow
             test_augment_modes_match_height;
-          Alcotest.test_case "tight jobs deterministic" `Slow
-            test_augment_tight_jobs_deterministic;
         ] );
       ( "warm_start",
         [
@@ -1011,8 +956,6 @@ let () =
           Alcotest.test_case "places everything" `Quick
             test_augment_places_everything;
           Alcotest.test_case "deterministic" `Quick test_augment_deterministic;
-          Alcotest.test_case "jobs deterministic" `Quick
-            test_augment_jobs_deterministic;
           Alcotest.test_case "concurrent candidates" `Quick
             test_augment_candidates_concurrent;
           Alcotest.test_case "rejects bad parallel config" `Quick

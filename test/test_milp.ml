@@ -18,18 +18,6 @@ let work =
         w.nodes w.warm_hits w.pivots w.refactorizations w.numerical_recoveries)
     ( = )
 
-let sum_work ws =
-  Array.fold_left
-    (fun (a : BB.work) (w : BB.work) ->
-      {
-        BB.nodes = a.nodes + w.nodes;
-        warm_hits = a.warm_hits + w.warm_hits;
-        pivots = a.pivots + w.pivots;
-        refactorizations = a.refactorizations + w.refactorizations;
-        numerical_recoveries = a.numerical_recoveries + w.numerical_recoveries;
-      })
-    BB.no_work ws
-
 let best_exn outcome =
   match outcome.BB.best with
   | Some (x, obj) -> (x, obj)
@@ -151,12 +139,9 @@ let test_infeasible_milp () =
   let outcome = BB.solve m in
   Alcotest.(check bool) "infeasible" true (outcome.BB.status = BB.Infeasible);
   Alcotest.(check bool) "no point" true (outcome.BB.best = None);
-  (* The root LP is still a node, solved cold, and the one domain's
-     slice is the whole total. *)
+  (* The root LP is still a node, solved cold. *)
   Alcotest.(check int) "root is one node" 1 outcome.BB.work.nodes;
-  Alcotest.(check int) "root LP cold" 0 outcome.BB.work.warm_hits;
-  Alcotest.(check (array work)) "one slice = total" [| outcome.BB.work |]
-    outcome.BB.per_domain
+  Alcotest.(check int) "root LP cold" 0 outcome.BB.work.warm_hits
 
 let test_unbounded_milp () =
   let m = Model.create () in
@@ -252,8 +237,6 @@ let test_budget_accounting_exact () =
     m
   in
   let full = BB.solve (build ()) in
-  Alcotest.(check (array work)) "one slice = total" [| full.BB.work |]
-    full.BB.per_domain;
   Alcotest.(check bool) "root LP cold, children warm" true
     (full.BB.work.warm_hits > 0 && full.BB.work.warm_hits < full.BB.work.nodes);
   let limit = full.BB.work.nodes - 1 in
@@ -473,91 +456,6 @@ let test_bb_solutions_integral =
         Model.integral m x && Lp.constraint_violation (Model.problem m) x < 1e-5
       | None -> true)
 
-(* -------------------- parallel determinism -------------------------- *)
-
-(* Build the same random MILP shape the brute-force test uses, so the
-   parallel runs are exercised on the full generator distribution. *)
-let build_random_milp (n, cc, rows) =
-  let m = Model.create () in
-  let bs = List.init n (fun i -> Model.add_binary m (Printf.sprintf "b%d" i)) in
-  let t = Model.add_continuous m ~ub:10. "t" in
-  List.iter
-    (fun (coeffs, r) ->
-      let terms =
-        List.mapi
-          (fun i c ->
-            if i < n then Expr.(c * var (List.nth bs i))
-            else Expr.(c * var t))
-          coeffs
-      in
-      Model.add_constr m (Expr.sum terms) Model.Le (Expr.const r))
-    rows;
-  Model.set_objective m `Maximize Expr.(sum (List.map var bs) + (cc * var t));
-  m
-
-(* ramp_nodes = 1 forces almost the whole tree through the frontier
-   machinery even on these small instances, which is the path under
-   test; a pool of 4 actually spawns domains. *)
-let par_params = { BB.default_params with ramp_nodes = 1 }
-
-let test_parallel_deterministic_matches_sequential =
-  QCheck.Test.make
-    ~name:"deterministic jobs=4 replays jobs=1 bit-for-bit" ~count:75
-    random_milp_arb (fun inst ->
-      let seq = BB.solve ~params:BB.default_params (build_random_milp inst) in
-      let par =
-        Fp_util.Pool.with_pool ~jobs:4 (fun pool ->
-            BB.solve ~params:par_params ~pool (build_random_milp inst))
-      in
-      seq.BB.status = par.BB.status
-      && (match (seq.BB.best, par.BB.best) with
-         | None, None -> true
-         | Some (x1, o1), Some (x2, o2) -> o1 = o2 && x1 = x2
-         | _ -> false))
-
-(* A knapsack whose LP relaxation is fractional at the root, so a 1-node
-   ramp is guaranteed to leave a frontier for the pool. *)
-let frontier_model () =
-  let m = Model.create () in
-  let n = 10 in
-  let v i = float_of_int (n - i) and w i = float_of_int (2 + ((3 * i) mod 7)) in
-  let bs = List.init n (fun i -> Model.add_binary m (Printf.sprintf "b%d" i)) in
-  Model.add_constr m
-    (Expr.sum (List.mapi (fun i b -> Expr.(w i * var b)) bs))
-    Model.Le (Expr.const 13.);
-  Model.set_objective m `Maximize
-    (Expr.sum (List.mapi (fun i b -> Expr.(v i * var b)) bs));
-  m
-
-let test_parallel_stats_cover_all_domains () =
-  let out =
-    Fp_util.Pool.with_pool ~jobs:4 (fun pool ->
-        BB.solve ~params:par_params ~pool (frontier_model ()))
-  in
-  Alcotest.(check int) "one slice per domain" 4
-    (Array.length out.BB.per_domain);
-  Alcotest.(check work) "total = sum of slices" out.BB.work
-    (sum_work out.BB.per_domain);
-  Alcotest.(check bool) "frontier was used" true (out.BB.frontier_tasks > 0);
-  Alcotest.(check bool) "at least one wave" true (out.BB.waves >= 1)
-
-let test_shared_pool_reused () =
-  (* Several solves through one caller-owned pool, interleaved with
-     sequential solves, all agreeing. *)
-  Fp_util.Pool.with_pool ~jobs:3 (fun pool ->
-      for seed = 1 to 5 do
-        let inst =
-          (5, 1., [ ([ 1.; 2.; 1.; 2.; 1.; 1. ], float_of_int (seed + 2)) ])
-        in
-        let seq = BB.solve (build_random_milp inst) in
-        let par =
-          BB.solve ~params:{ BB.default_params with ramp_nodes = 1 } ~pool
-            (build_random_milp inst)
-        in
-        let _, o1 = best_exn seq and _, o2 = best_exn par in
-        checkf (Printf.sprintf "seed %d objective" seed) o1 o2
-      done)
-
 let () =
   Alcotest.run "fp_milp"
     [
@@ -605,13 +503,5 @@ let () =
             test_search_effort_pinned;
           QCheck_alcotest.to_alcotest test_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest test_bb_solutions_integral;
-        ] );
-      ( "parallel",
-        [
-          QCheck_alcotest.to_alcotest
-            test_parallel_deterministic_matches_sequential;
-          Alcotest.test_case "per-domain stats" `Quick
-            test_parallel_stats_cover_all_domains;
-          Alcotest.test_case "shared pool" `Quick test_shared_pool_reused;
         ] );
     ]

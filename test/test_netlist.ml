@@ -330,6 +330,25 @@ let test_generator_seed_changes_instance () =
   Alcotest.(check bool) "different instances" false
     (Parser.to_string a = Parser.to_string b)
 
+(* Every size the CLI accepts, down to two modules, where the
+   net-locality window is wider than the instance. *)
+let test_generator_small_sizes_valid () =
+  for k = 2 to 10 do
+    for seed = 0 to 200 do
+      let nl =
+        match
+          Generator.generate
+            { Generator.default_config with Generator.num_modules = k; seed }
+        with
+        | nl -> nl
+        | exception Invalid_argument msg ->
+          Alcotest.failf "k=%d seed=%d: %s" k seed msg
+      in
+      if Netlist.validate nl <> Ok () then
+        Alcotest.failf "k=%d seed=%d: invalid netlist" k seed
+    done
+  done
+
 let () =
   Alcotest.run "fp_netlist"
     [
@@ -382,5 +401,7 @@ let () =
             test_generator_flexible_fraction;
           Alcotest.test_case "seed changes instance" `Quick
             test_generator_seed_changes_instance;
+          Alcotest.test_case "small sizes valid" `Quick
+            test_generator_small_sizes_valid;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for the resilient solve engine: the Fault injection switchboard,
    the Degradation taxonomy, the degradation ladder inside Augment.run
-   (budget fallback, raw-warm commit, retries, deadline truncation, hook
-   containment), lost-task recovery, and checkpoint/resume journals. *)
+   (budget fallback, raw-warm commit, one search per step, deadline
+   truncation, hook containment), worker-failure recovery under
+   concurrent candidates, and checkpoint/resume journals. *)
 
 module Fault = Fp_util.Fault
 module Generator = Fp_netlist.Generator
@@ -91,41 +92,37 @@ let test_degradation_severity () =
   Alcotest.(check int) "numerical" 0 (severity (Numerical_recovery 2));
   Alcotest.(check int) "budget" 1 (severity Budget_exhausted_warm_fallback);
   Alcotest.(check int) "raw warm" 2 (severity Raw_warm_packing);
-  Alcotest.(check bool) "task lost benign" false
-    (degrades_quality (Task_lost 1));
+  Alcotest.(check bool) "worker failure benign" false
+    (degrades_quality (Worker_failure "x"));
   Alcotest.(check bool) "deadline degrades" true
     (degrades_quality Deadline_truncated);
   Alcotest.(check string) "stable rendering" "net_bound_dropped(n3,n7)"
     (to_string (Net_bound_dropped [ "n3"; "n7" ]));
-  Alcotest.(check string) "retry rendering" "retry_escalated(2)"
-    (to_string (Retry_escalated 2))
+  Alcotest.(check string) "recovery rendering" "numerical_recovery(2)"
+    (to_string (Numerical_recovery 2))
 
 (* ------------------------- degradation ladder ------------------------ *)
 
-(* Budget exhausted on every attempt: each step must fall back to its
+(* Budget exhausted on every step: each step must fall back to its
    warm packing and say so. *)
 let test_budget_warm_fallback () =
   with_clean_faults @@ fun () ->
   let nl = gen ~n:6 ~seed:41 in
   Fault.arm (Fault.spec ~count:max_int "branch_bound.budget");
-  let res =
-    Augment.run ~config:{ small_cfg with Augment.max_retries = 0 } nl
-  in
+  let res = Augment.run ~config:small_cfg nl in
   Alcotest.(check bool) "valid placement" true (valid res);
   Alcotest.(check bool) "fallback recorded" true
     (contains Degradation.Budget_exhausted_warm_fallback res);
   Alcotest.(check bool) "not interrupted" false res.Augment.interrupted
 
-(* Candidate evaluation dies on every attempt: the step commits the raw
+(* Candidate evaluation dies on every step: the step commits the raw
    warm packing geometrically and the run still produces a valid
    floorplan. *)
 let test_raw_warm_packing () =
   with_clean_faults @@ fun () ->
   let nl = gen ~n:6 ~seed:42 in
   Fault.arm (Fault.spec ~count:max_int "augment.candidate_milp");
-  let res =
-    Augment.run ~config:{ small_cfg with Augment.max_retries = 0 } nl
-  in
+  let res = Augment.run ~config:small_cfg nl in
   Alcotest.(check bool) "valid placement" true (valid res);
   Alcotest.(check bool) "raw warm recorded" true
     (contains Degradation.Raw_warm_packing res);
@@ -134,23 +131,29 @@ let test_raw_warm_packing () =
        (function Degradation.Candidate_failed _ -> true | _ -> false)
        (degs_of res))
 
-(* A one-shot budget fault must be healed by the retry ladder: the step
-   records the escalation, and the final placement matches the
-   un-faulted run (the escalated budget subsumes the original). *)
-let test_retry_escalation () =
+(* Every step runs its search once, under the configured budget: a
+   one-shot budget fault (it fires at the first step's first budget
+   check, before the root LP) makes that step commit its warm packing,
+   and no step searches again or beyond its node limit. *)
+let test_one_attempt_per_step () =
   with_clean_faults @@ fun () ->
   let nl = gen ~n:6 ~seed:43 in
-  let clean = Augment.run ~config:small_cfg nl in
   Fault.arm (Fault.spec "branch_bound.budget");
   let res = Augment.run ~config:small_cfg nl in
-  Alcotest.(check bool) "retry recorded" true
-    (List.exists
-       (function Degradation.Retry_escalated _ -> true | _ -> false)
-       (degs_of res));
-  Alcotest.(check bool) "retries counted" true
-    (List.exists (fun s -> s.Augment.retries > 0) res.Augment.steps);
-  Alcotest.(check bool) "same floorplan after retry" true
-    (res.Augment.placement = clean.Augment.placement)
+  let first = List.hd res.Augment.steps in
+  Alcotest.(check int) "fault fired once" 1
+    (Fault.injections "branch_bound.budget");
+  Alcotest.(check bool) "faulted step fell back" true
+    (List.mem Degradation.Budget_exhausted_warm_fallback
+       first.Augment.degradations);
+  Alcotest.(check int) "faulted step solved no LP" 0 first.Augment.nodes;
+  List.iter
+    (fun (s : Augment.step_stat) ->
+      Alcotest.(check int) "no retries" 0 s.Augment.retries;
+      Alcotest.(check bool) "within the node limit" true
+        (s.Augment.nodes <= small_cfg.Augment.milp.BB.node_limit))
+    res.Augment.steps;
+  Alcotest.(check bool) "valid placement" true (valid res)
 
 (* An expired run deadline: every remaining group is committed from its
    warm packing, visibly. *)
@@ -257,23 +260,20 @@ let test_hook_abort () =
   Alcotest.(check int) "stopped after one step" 1
     (List.length res.Augment.steps)
 
-(* Lost frontier tasks are re-run inline; the floorplan is the same as
-   the sequential un-faulted one. *)
-let test_task_loss_recovery () =
+(* A worker of the candidate batch crashes: the step re-evaluates its
+   candidates sequentially, records the failure, and commits what the
+   un-faulted run commits. *)
+let test_worker_failure_under_candidates () =
   with_clean_faults @@ fun () ->
   let nl = gen ~n:8 ~seed:47 in
-  let cfg =
-    { small_cfg with
-      Augment.milp = { small_cfg.Augment.milp with BB.ramp_nodes = 0 } }
-  in
+  let cfg = { small_cfg with Augment.candidates = 2 } in
   let clean = Augment.run ~config:cfg nl in
-  Fault.arm (Fault.spec ~count:2 "branch_bound.task_loss");
-  let res = Augment.run ~config:{ cfg with Augment.jobs = 2 } nl in
-  Alcotest.(check bool) "faults fired" true
-    (Fault.injections "branch_bound.task_loss" > 0);
-  Alcotest.(check bool) "loss recorded" true
+  Fault.arm (Fault.spec "pool.worker_exn");
+  let res = Augment.run ~config:cfg nl in
+  Alcotest.(check int) "fault fired" 1 (Fault.injections "pool.worker_exn");
+  Alcotest.(check bool) "failure recorded" true
     (List.exists
-       (function Degradation.Task_lost _ -> true | _ -> false)
+       (function Degradation.Worker_failure _ -> true | _ -> false)
        (degs_of res));
   Alcotest.(check bool) "identical floorplan" true
     (res.Augment.placement = clean.Augment.placement)
@@ -341,8 +341,8 @@ let test_journal_rejects_garbage () =
 (* ---------------------------- checkpoint ----------------------------- *)
 
 (* The headline resume guarantee: interrupt a run, resume it from its
-   journal (at a different worker count, even), and the final floorplan
-   is bit-identical to the uninterrupted run's. *)
+   journal, and the final floorplan is bit-identical to the
+   uninterrupted run's. *)
 let test_checkpoint_resume_bit_identical () =
   let nl = gen ~n:8 ~seed:48 in
   let path_full = tmp_path () and path_cut = tmp_path () in
@@ -376,10 +376,7 @@ let test_checkpoint_resume_bit_identical () =
       let journal = Result.get_ok (Journal.read ~path:path_cut) in
       let resumed =
         Augment.run ~resume:journal
-          ~config:
-            { small_cfg with
-              Augment.checkpoint = Some path_cut;
-              jobs = 2 }
+          ~config:{ small_cfg with Augment.checkpoint = Some path_cut }
           nl
       in
       Alcotest.(check bool) "resumed = uninterrupted" true
@@ -417,8 +414,6 @@ let test_resume_rejects_mismatch () =
 
 let test_config_digest_scope () =
   let d = Augment.config_digest in
-  Alcotest.(check bool) "jobs excluded" true
-    (d small_cfg = d { small_cfg with Augment.jobs = 4 });
   Alcotest.(check bool) "checkpoint excluded" true
     (d small_cfg = d { small_cfg with Augment.checkpoint = Some "x" });
   Alcotest.(check bool) "group size included" true
@@ -453,7 +448,8 @@ let () =
           Alcotest.test_case "budget warm fallback" `Quick
             test_budget_warm_fallback;
           Alcotest.test_case "raw warm packing" `Quick test_raw_warm_packing;
-          Alcotest.test_case "retry escalation" `Quick test_retry_escalation;
+          Alcotest.test_case "one attempt per step" `Quick
+            test_one_attempt_per_step;
           Alcotest.test_case "deadline truncation" `Quick
             test_deadline_truncation;
           Alcotest.test_case "numerical recovery notes" `Quick
@@ -462,8 +458,8 @@ let () =
             `Quick test_singular_lu_after_shared_factorization;
           Alcotest.test_case "hook containment" `Quick test_hook_containment;
           Alcotest.test_case "hook abort" `Quick test_hook_abort;
-          Alcotest.test_case "task loss recovery" `Quick
-            test_task_loss_recovery;
+          Alcotest.test_case "worker failure under candidates" `Quick
+            test_worker_failure_under_candidates;
         ] );
       ( "journal",
         [

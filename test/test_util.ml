@@ -178,70 +178,63 @@ let test_heap_interleaved () =
 let test_pool_map_correct () =
   List.iter
     (fun jobs ->
-      Pool.with_pool ~jobs (fun p ->
-          check Alcotest.int "reported size" jobs (Pool.jobs p);
-          let out = Pool.map p ~n:100 (fun ~worker:_ i -> i * i) in
-          check
-            Alcotest.(array int)
-            (Printf.sprintf "squares at jobs=%d" jobs)
-            (Array.init 100 (fun i -> i * i))
-            out))
-    [ 1; 2; 4 ]
+      let out = Pool.map ~jobs ~n:100 (fun ~worker:_ i -> i * i) in
+      check
+        Alcotest.(array int)
+        (Printf.sprintf "squares at jobs=%d" jobs)
+        (Array.init 100 (fun i -> i * i))
+        out)
+    [ 1; 2; 4 ];
+  check Alcotest.(array int) "empty batch" [||]
+    (Pool.map ~jobs:4 ~n:0 (fun ~worker:_ i -> i))
 
 let test_pool_worker_ids_in_range () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      let seen = Array.make 4 false in
-      Pool.run p ~n:64 (fun ~worker _ ->
-          if worker < 0 || worker >= 4 then
-            failwith (Printf.sprintf "worker id %d out of range" worker);
-          seen.(worker) <- true);
-      Alcotest.(check bool) "worker 0 participates" true seen.(0))
+  List.iter
+    (fun (jobs, n) ->
+      let ids = Pool.map ~jobs ~n (fun ~worker _ -> worker) in
+      Array.iter
+        (fun w ->
+          if w < 0 || w >= Int.min jobs n then
+            Alcotest.failf "worker id %d out of range at jobs=%d n=%d" w jobs
+              n)
+        ids)
+    [ (4, 64); (4, 2); (3, 3) ]
 
 let test_pool_exception_propagates () =
-  Pool.with_pool ~jobs:3 (fun p ->
-      Alcotest.check_raises "task failure surfaces" (Failure "task 7")
-        (fun () ->
-          Pool.run p ~n:16 (fun ~worker:_ i ->
-              if i = 7 then failwith "task 7"));
-      (* The pool must survive a failed batch. *)
-      let out = Pool.map p ~n:8 (fun ~worker:_ i -> i + 1) in
-      check Alcotest.(array int) "usable after failure"
-        (Array.init 8 (fun i -> i + 1))
-        out)
+  (* One task raises: the rest of the batch still runs, and the
+     exception surfaces after every domain is joined. *)
+  let ran = Array.make 16 false in
+  Alcotest.check_raises "task failure surfaces" (Failure "task 7") (fun () ->
+      Pool.run ~jobs:3 ~n:16 (fun ~worker:_ i ->
+          ran.(i) <- true;
+          if i = 7 then failwith "task 7"));
+  Alcotest.(check bool) "the batch drained" true (Array.for_all Fun.id ran)
 
 let test_pool_skewed_batch () =
-  (* One heavy task next to many trivial ones: stealing must still
-     produce every result exactly once. *)
-  Pool.with_pool ~jobs:4 (fun p ->
-      let out =
-        Pool.map p ~n:32 (fun ~worker:_ i ->
-            if i = 0 then begin
-              let acc = ref 0 in
-              for k = 1 to 2_000_000 do
-                acc := (!acc * 31) + k
-              done;
-              ignore !acc
-            end;
-            i)
-      in
-      check Alcotest.(array int) "all slots filled once"
-        (Array.init 32 Fun.id) out)
-
-let test_pool_reused_across_batches () =
-  Pool.with_pool ~jobs:3 (fun p ->
-      for round = 1 to 20 do
-        let out = Pool.map p ~n:round (fun ~worker:_ i -> i * round) in
-        check Alcotest.(array int)
-          (Printf.sprintf "round %d" round)
-          (Array.init round (fun i -> i * round))
-          out
-      done)
+  (* One heavy task next to many trivial ones: free workers take the
+     next index, and every result is produced exactly once. *)
+  let out =
+    Pool.map ~jobs:4 ~n:32 (fun ~worker:_ i ->
+        if i = 0 then begin
+          let acc = ref 0 in
+          for k = 1 to 2_000_000 do
+            acc := (!acc * 31) + k
+          done;
+          ignore !acc
+        end;
+        i)
+  in
+  check Alcotest.(array int) "all slots filled once" (Array.init 32 Fun.id) out
 
 let test_pool_jobs_clamped () =
-  Pool.with_pool ~jobs:0 (fun p ->
-      check Alcotest.int "clamped up to 1" 1 (Pool.jobs p));
-  Pool.with_pool ~jobs:1000 (fun p ->
-      check Alcotest.int "clamped down to 64" 64 (Pool.jobs p))
+  (* [jobs] below 1 runs the batch on the calling domain alone; above
+     [n], at most [n] workers run. *)
+  check Alcotest.(array int) "jobs 0: one worker" (Array.make 5 0)
+    (Pool.map ~jobs:0 ~n:5 (fun ~worker _ -> worker));
+  Alcotest.(check bool) "jobs 1000, n 3: ids below 3" true
+    (Array.for_all
+       (fun w -> w >= 0 && w < 3)
+       (Pool.map ~jobs:1000 ~n:3 (fun ~worker _ -> worker)))
 
 let () =
   Alcotest.run "fp_util"
@@ -286,8 +279,6 @@ let () =
             test_pool_exception_propagates;
           Alcotest.test_case "skewed batch steals" `Quick
             test_pool_skewed_batch;
-          Alcotest.test_case "reused across batches" `Quick
-            test_pool_reused_across_batches;
           Alcotest.test_case "jobs clamped" `Quick test_pool_jobs_clamped;
         ] );
     ]
