@@ -322,16 +322,22 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~mode group =
            0. items
       +. 1.
     in
-    match cfg.height_limit with
-    | None -> free
-    | Some h ->
+    match (cfg.height_limit, mode) with
+    | None, _ -> free
+    (* The cap only steers a search, and a warm-only commit runs none:
+       its model is built under the free bound, which always admits
+       the warm packing.  Under the cap, an outline the step cannot
+       meet can leave some pair with no feasible relation, and the
+       build would raise. *)
+    | Some _, `Warm_only _ -> free
+    | Some h, `Solve _ ->
       (* Fixed-outline mode: cap the chip-height variable at the outline
          height, but never below what keeps [Formulation.build]
          well-posed — every item's minimum height must fit under the
          bound, and the obstacle tops must stay inside it.  An outline
          the step genuinely cannot meet then shows up as MILP
-         infeasibility (warm fallback + degradation), not as a raised
-         [Invalid_argument]. *)
+         infeasibility (warm fallback + degradation), or as a failed
+         candidate when the build itself raises. *)
       let floor_h =
         Array.fold_left
           (fun a it ->

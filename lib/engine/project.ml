@@ -96,57 +96,92 @@ let project_box st ~w_strip ~height =
       Float.min (Float.max 0. st.ys.(i)) (Float.max 0. (height -. st.hs.(i)))
   done
 
+(* [Tol.gt v 0.] and [Tol.leq a b], spelled out: [Tol]'s predicates
+   take an optional [?tol], which ocamlopt without flambda does not
+   inline, so every call in the O(n^2) pair loop boxes its floats. *)
+let[@inline] positive v = 0. < v -. Tol.eps
+let[@inline] leq a b = a <= b +. Tol.eps
+
+(* Overlap of the intervals [a0, a1] and [b0, b1]: negative when they
+   are apart.  A plain conditional min/max is exact here: an overlap is
+   acted on only when it exceeds eps, and then the sign of a zero
+   operand cannot change its value. *)
+let[@inline] overlap a0 a1 b0 b1 =
+  (if a1 < b1 then a1 else b1) -. (if a0 < b0 then b0 else a0)
+
+(* The pairwise non-overlap constraints, one per module pair [a.(p) <
+   b.(p)], numbered (0,1), (0,2), (1,2), (0,3), ...  A sweep visits a
+   shuffled permutation of the pair numbers, so the numbering is part
+   of every seeded trajectory. *)
+type pairs = { a : int array; b : int array }
+
+let pairs_of n =
+  let m = n * (n - 1) / 2 in
+  let a = Array.make m 0 and b = Array.make m 0 in
+  let p = ref 0 in
+  for j = 1 to n - 1 do
+    for i = 0 to j - 1 do
+      a.(!p) <- i;
+      b.(!p) <- j;
+      incr p
+    done
+  done;
+  { a; b }
+
 (* Projection onto one pairwise non-overlap constraint: if the two
    rectangles interpenetrate, translate both apart along the axis of
    least penetration, half each, leaving [slack] daylight. *)
 let project_pair st i j =
-  let ox =
-    Float.min (st.xs.(i) +. st.ws.(i)) (st.xs.(j) +. st.ws.(j))
-    -. Float.max st.xs.(i) st.xs.(j)
-  and oy =
-    Float.min (st.ys.(i) +. st.hs.(i)) (st.ys.(j) +. st.hs.(j))
-    -. Float.max st.ys.(i) st.ys.(j)
-  in
-  if Tol.gt ox 0. && Tol.gt oy 0. then
-    if Tol.leq ox oy then begin
-      let d = (ox +. slack) /. 2. in
-      if Tol.leq st.xs.(i) st.xs.(j) then begin
-        st.xs.(i) <- st.xs.(i) -. d;
-        st.xs.(j) <- st.xs.(j) +. d
+  let xi = st.xs.(i) and xj = st.xs.(j) in
+  let ox = overlap xi (xi +. st.ws.(i)) xj (xj +. st.ws.(j)) in
+  if positive ox then begin
+    let yi = st.ys.(i) and yj = st.ys.(j) in
+    let oy = overlap yi (yi +. st.hs.(i)) yj (yj +. st.hs.(j)) in
+    if positive oy then
+      if leq ox oy then begin
+        let d = (ox +. slack) /. 2. in
+        if leq xi xj then begin
+          st.xs.(i) <- xi -. d;
+          st.xs.(j) <- xj +. d
+        end
+        else begin
+          st.xs.(i) <- xi +. d;
+          st.xs.(j) <- xj -. d
+        end
       end
       else begin
-        st.xs.(i) <- st.xs.(i) +. d;
-        st.xs.(j) <- st.xs.(j) -. d
+        let d = (oy +. slack) /. 2. in
+        if leq yi yj then begin
+          st.ys.(i) <- yi -. d;
+          st.ys.(j) <- yj +. d
+        end
+        else begin
+          st.ys.(i) <- yi +. d;
+          st.ys.(j) <- yj -. d
+        end
       end
-    end
-    else begin
-      let d = (oy +. slack) /. 2. in
-      if Tol.leq st.ys.(i) st.ys.(j) then begin
-        st.ys.(i) <- st.ys.(i) -. d;
-        st.ys.(j) <- st.ys.(j) +. d
-      end
-      else begin
-        st.ys.(i) <- st.ys.(i) +. d;
-        st.ys.(j) <- st.ys.(j) -. d
-      end
-    end
+  end
 
-(* Deepest remaining pairwise penetration. *)
-let max_penetration st pairs =
-  let v = ref 0. in
-  Array.iter
-    (fun (i, j) ->
-      let ox =
-        Float.min (st.xs.(i) +. st.ws.(i)) (st.xs.(j) +. st.ws.(j))
-        -. Float.max st.xs.(i) st.xs.(j)
-      and oy =
-        Float.min (st.ys.(i) +. st.hs.(i)) (st.ys.(j) +. st.hs.(j))
-        -. Float.max st.ys.(i) st.ys.(j)
-      in
-      if Tol.gt ox 0. && Tol.gt oy 0. then
-        v := Float.max !v (Float.min ox oy))
-    pairs;
-  !v
+(* Whether pair [p] still penetrates deeper than the stopping depth on
+   both axes. *)
+let deep st pairs p =
+  let i = pairs.a.(p) and j = pairs.b.(p) in
+  let xi = st.xs.(i) and xj = st.xs.(j) in
+  let ox = overlap xi (xi +. st.ws.(i)) xj (xj +. st.ws.(j)) in
+  if positive ox then
+    let yi = st.ys.(i) and yj = st.ys.(j) in
+    let oy = overlap yi (yi +. st.hs.(i)) yj (yj +. st.hs.(j)) in
+    positive oy && not (leq (if ox < oy then ox else oy) 1e-9)
+  else false
+
+(* Whether any pair is still deep: stops at the first one. *)
+let penetrated st pairs =
+  let m = Array.length pairs.a in
+  let p = ref 0 in
+  while !p < m && not (deep st pairs !p) do
+    incr p
+  done;
+  !p < m
 
 (* Superiorization: diminishing descent perturbations between
    projection rounds — gravity (pulls the packing down, the area
@@ -186,7 +221,7 @@ let superiorize st ~alpha ~net_members ~wire_pull =
    deadline/abort fires.  Returns (sweeps spent, truncated). *)
 let project_phase rng st ~w_strip ~height ~sweeps ~alpha0 ~net_members
     ~wire_pull ~abort ~deadline pairs =
-  let order = Array.copy pairs in
+  let order = Array.init (Array.length pairs.a) Fun.id in
   let alpha = ref alpha0 in
   let k = ref 0 in
   let truncated = ref false in
@@ -204,12 +239,14 @@ let project_phase rng st ~w_strip ~height ~sweeps ~alpha0 ~net_members
       truncated := true;
       stop := true
     end
-    else if Tol.leq (max_penetration st pairs) 1e-9 && !k > 0 then
-      stop := true
+    else if !k > 0 && not (penetrated st pairs) then stop := true
     else begin
       superiorize st ~alpha:!alpha ~net_members ~wire_pull;
       Rng.shuffle rng order;
-      Array.iter (fun (i, j) -> project_pair st i j) order;
+      for q = 0 to Array.length order - 1 do
+        let p = order.(q) in
+        project_pair st pairs.a.(p) pairs.b.(p)
+      done;
       project_box st ~w_strip ~height;
       alpha := !alpha *. 0.93;
       incr k
@@ -280,12 +317,7 @@ let make ?(sweeps_per_height = 160) ?(max_heights = 40) ?(shrink = 0.97)
           { Formulation.def = Netlist.module_at nl i;
             margins = (0., 0., 0., 0.) })
     in
-    let pairs =
-      Array.of_list
-        (List.concat_map
-           (fun i -> List.init i (fun j -> (j, i)))
-           (List.init n Fun.id))
-    in
+    let pairs = pairs_of n in
     let net_members =
       Array.of_list
         (List.map

@@ -35,7 +35,7 @@ val make :
   ?allow_rotation:bool ->
   unit ->
   Solver.t
-(** Tunable variant: [sweeps_per_height] (default [240]) caps the
+(** Tunable variant: [sweeps_per_height] (default [160]) caps the
     projection sweeps per height target, [max_heights] (default [40])
     the shrink attempts, [shrink] (default [0.97]) is the geometric
     height decay, [allow_rotation] (default [true]) permits the

@@ -102,6 +102,8 @@ let container_mutator = function
                               && String.sub op 0 4 = "add_" ->
     true
   | [ "Buffer"; ("clear" | "reset" | "truncate") ] -> true
+  (* set_int8 ... set_int64_ne, set_utf_8_uchar, ... *)
+  | [ "Bytes"; op ] when String.starts_with ~prefix:"set_" op -> true
   | _ -> false
 
 let synchronized = function

@@ -45,7 +45,8 @@ val pool_fn : string list -> string option
 
 val container_mutator : string list -> bool
 (** Paths that mutate their first container argument
-    ([Hashtbl.replace], [Queue.push], [Buffer.add_*], ...). *)
+    ([Hashtbl.replace], [Queue.push], [Buffer.add_*], [Bytes.set_*],
+    ...). *)
 
 val synchronized : string list -> bool
 (** Paths rooted in the blessed synchronization modules

@@ -164,24 +164,31 @@ let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false) t =
      fixpoint loop without helping the LP. *)
   let min_gain = 1e-7 in
   let progress = ref true in
+  (* A bound that crosses the other one by at most 1e-6 is rounding,
+     not infeasibility: it is clamped to the other bound, so an [`Ok]
+     result never leaves [lb > ub] for a later [set_bounds] to reject. *)
   let apply_lb v nlb =
     let vi = t.vars.(v) in
     let nlb = if integral v then Float.round (Float.ceil (nlb -. 1e-6)) else nlb in
+    let crossed = nlb > vi.ub +. 1e-6 in
+    let nlb = if crossed then nlb else Float.min nlb vi.ub in
     if nlb > vi.lb +. min_gain then begin
       note v;
       vi.lb <- nlb;
       progress := true;
-      if nlb > vi.ub +. 1e-6 then infeasible := true
+      if crossed then infeasible := true
     end
   in
   let apply_ub v nub =
     let vi = t.vars.(v) in
     let nub = if integral v then Float.round (Float.floor (nub +. 1e-6)) else nub in
+    let crossed = vi.lb > nub +. 1e-6 in
+    let nub = if crossed then nub else Float.max nub vi.lb in
     if nub < vi.ub -. min_gain then begin
       note v;
       vi.ub <- nub;
       progress := true;
-      if vi.lb > nub +. 1e-6 then infeasible := true
+      if crossed then infeasible := true
     end
   in
   (* One direction: [sum terms <= b]. *)

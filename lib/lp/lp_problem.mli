@@ -83,8 +83,9 @@ val propagate_bounds :
     changed variable — apply it with {!set_bounds} to restore —
     tagged [`Infeasible] when some interval emptied (beyond tolerance),
     in which case no feasible point existed under the entry bounds.
-    Bounds are left in their tightened (possibly crossed) state either
-    way; restoring is the caller's choice. *)
+    Bounds are left in their tightened state either way; restoring is
+    the caller's choice.  They cross only under [`Infeasible]: a
+    crossing within tolerance (1e-6) is clamped to the other bound. *)
 
 val objective_interval : t -> float * float
 (** Interval of the objective function over the current bound box —

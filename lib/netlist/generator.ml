@@ -34,12 +34,14 @@ let generate cfg =
   let num_flex =
     int_of_float (Float.round (cfg.flexible_fraction *. float_of_int k))
   in
-  let flex_flags = Array.init k (fun i -> i < num_flex) in
-  Rng.shuffle rng flex_flags;
+  (* Shuffle the module indices; the first [num_flex] of the original
+     order are the flexible ones. *)
+  let perm = Array.init k Fun.id in
+  Rng.shuffle rng perm;
   let mods =
     List.init k (fun i ->
         let name = Printf.sprintf "m%02d" i in
-        if flex_flags.(i) then
+        if perm.(i) < num_flex then
           (* Aspect window around square, e.g. [0.4, 2.5]. *)
           let lo = Rng.range rng ~lo:0.3 ~hi:0.6 in
           let hi = Rng.range rng ~lo:1.8 ~hi:3.0 in

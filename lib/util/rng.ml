@@ -1,13 +1,20 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a mutable int64
+   record field would box on every draw, and the projection engine
+   draws one number per pair per sweep. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int seed);
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let copy = Bytes.copy
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -18,23 +25,17 @@ let float t bound =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992. *. bound
 
-let int t bound =
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let r = Int64.to_int (next_int64 t) land max_int in
   r mod bound
 
 let range t ~lo ~hi = lo +. float t (hi -. lo)
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let shuffle t arr =
+let shuffle t (arr : int array) =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = arr.(i) in
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let shuffle_list t l =
-  let arr = Array.of_list l in
-  shuffle t arr;
-  Array.to_list arr

@@ -12,8 +12,8 @@
     from an explicit seed and used by one domain: [Fp_netlist.Generator],
     [Fp_netlist.Ordering.random], [Fp_slicing.Anneal], [Fp_data.Ami33],
     one per engine in a portfolio race, and one per armed
-    {!Fault} site, drawn under the harness lock.  The parallel
-    branch-and-bound draws no random numbers. *)
+    {!Fault} site, drawn under the harness lock.  The concurrent
+    candidate evaluations of a MILP step draw no random numbers. *)
 
 type t
 
@@ -35,9 +35,8 @@ val int : t -> int -> int
 val range : t -> lo:float -> hi:float -> float
 (** Uniform draw from [\[lo, hi)]. *)
 
-val bool : t -> bool
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val shuffle_list : t -> 'a list -> 'a list
+val shuffle : t -> int array -> unit
+(** In-place Fisher–Yates shuffle: one [int] draw per position, from
+    the last down.  Callers permute indices (module ids, pair numbers)
+    and read their payload through them; an int array is swapped
+    without the write barrier a boxed element would cost. *)

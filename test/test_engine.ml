@@ -189,6 +189,35 @@ let test_project_outline_degradation () =
   | Some pl ->
     Alcotest.(check bool) "plan still valid" true (Placement.valid pl = Ok ())
 
+(* Recorded trajectories: the sweep work, the best height and the plan
+   bits must replay exactly.  These pin the paths the benchmark does not
+   run — a fixed outline and the wire pull — next to the free outline. *)
+let test_project_pinned () =
+  let pin name nl sc ~work ?best_height ~certified digest =
+    let o = solve_one Project.solver sc nl in
+    Alcotest.(check int) (name ^ ": work") work (stats o).Solver.work;
+    Option.iter
+      (fun h ->
+        Alcotest.(check bool) (name ^ ": best height") true
+          (Float.equal h (List.assoc "best_height" (stats o).Solver.detail)))
+      best_height;
+    Alcotest.(check bool) (name ^ ": certified") certified
+      (stats o).Solver.certified;
+    Alcotest.(check string) (name ^ ": plan") digest
+      (Plan_digest.hex (Option.get o.Solver.plan))
+  in
+  let ami33 = Fp_data.Ami33.netlist () in
+  pin "ami33 free" ami33 (scenario 1990) ~work:3200
+    ~best_height:0x1.c3532b3b5f2a2p+6 ~certified:true
+    "1b94f99320a6913b9f0e3a83cdd03101";
+  pin "ami33 fixed 115x110" ami33
+    { (scenario 1990) with Solver.outline = Outline.Fixed { w = 115.; h = 110. } }
+    ~work:640 ~certified:false "9bfb8d573e3343c9d3619db762914670";
+  pin "generated wire pull" (gen ~n:14 ~seed:6)
+    { (scenario 6) with Solver.wire_weight = Some 1. }
+    ~work:3200 ~best_height:0x1.64p+6 ~certified:true
+    "a6c5fd0ebc052c0b7bb241e723604bdd"
+
 (* --------------------------- deadline knob --------------------------- *)
 
 let test_sa_deadline_truncates () =
@@ -333,6 +362,7 @@ let () =
             test_project_fixed_outline_feasible;
           Alcotest.test_case "outline degradation" `Quick
             test_project_outline_degradation;
+          Alcotest.test_case "pinned trajectories" `Quick test_project_pinned;
         ] );
       ( "portfolio",
         [

@@ -208,6 +208,17 @@ let test_mut_param_propagation () =
     "via inherits the mutation" [ 0 ]
     (Effects.summary_of summaries "Mut.via").Effects.mut_params
 
+(* The [Bytes] setter family writes its first argument, like
+   [Bytes.set]: a generator state kept in bytes must stay visible. *)
+let test_bytes_setter_mutates () =
+  let _, summaries =
+    graph
+      [ ("lib/core/cell.ml", "let put b x = Bytes.set_int64_le b 0 x") ]
+  in
+  Alcotest.(check (list int))
+    "put mutates b" [ 0 ]
+    (Effects.summary_of summaries "Cell.put").Effects.mut_params
+
 let test_infer_deterministic_and_bounded () =
   let sources =
     [
@@ -482,6 +493,8 @@ let () =
             test_fixpoint_cycle_converges;
           Alcotest.test_case "mut-param propagation" `Quick
             test_mut_param_propagation;
+          Alcotest.test_case "bytes setters mutate" `Quick
+            test_bytes_setter_mutates;
           Alcotest.test_case "fixpoint idempotent, top bounded" `Quick
             test_infer_deterministic_and_bounded;
           Alcotest.test_case "dedupe keeps the earlier rule" `Quick

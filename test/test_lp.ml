@@ -347,6 +347,27 @@ let test_propagate_chains_rows () =
   | `Ok _ -> checkf "y ub chained" 3. (Lp.var_ub p y)
   | `Infeasible _ -> Alcotest.fail "unexpected infeasible")
 
+(* Rows that cross a bound by 1e-7 — rounding, not infeasibility —
+   must leave every interval well-formed, so saving and restoring the
+   bounds with [set_bounds] cannot raise. *)
+let test_propagate_clamps_hairline_crossing () =
+  let p = Lp.create () in
+  let x = Lp.add_var p ~lb:0. ~ub:5. "x" in
+  let y = Lp.add_var p ~lb:5. ~ub:10. "y" in
+  Lp.add_constr p [ (1., x) ] Lp.Ge (5. +. 1e-7);
+  Lp.add_constr p [ (1., y) ] Lp.Le (5. -. 1e-7);
+  match Lp.propagate_bounds p with
+  | `Ok _ ->
+    List.iter
+      (fun (name, v) ->
+        let lb = Lp.var_lb p v and ub = Lp.var_ub p v in
+        Alcotest.(check bool) (name ^ ": lb <= ub") true (lb <= ub);
+        Lp.set_bounds p v ~lb ~ub)
+      [ ("x", x); ("y", y) ];
+    checkf "x fixed at its ub" 5. (Lp.var_lb p x);
+    checkf "y fixed at its lb" 5. (Lp.var_ub p y)
+  | `Infeasible _ -> Alcotest.fail "a 1e-7 crossing is not infeasible"
+
 let test_objective_interval () =
   let p = Lp.create () in
   let x = Lp.add_var p ~lb:1. ~ub:2. ~obj:2. "x" in
@@ -377,6 +398,8 @@ let () =
           Alcotest.test_case "detects infeasible" `Quick
             test_propagate_detects_infeasible;
           Alcotest.test_case "chains rows" `Quick test_propagate_chains_rows;
+          Alcotest.test_case "clamps hairline crossing" `Quick
+            test_propagate_clamps_hairline_crossing;
           Alcotest.test_case "objective interval" `Quick test_objective_interval;
         ] );
       ( "simplex",

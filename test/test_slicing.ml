@@ -430,17 +430,6 @@ let test_anneal_rejects_few_samples () =
          with Invalid_argument msg -> mentions msg "samples"))
     [ 1; 0; -1 ]
 
-let plan_digest (pl : Placement.t) =
-  let b = Buffer.create 2048 in
-  Printf.bprintf b "%h|%h;" pl.Placement.chip_width pl.Placement.height;
-  List.iter
-    (fun (q : Placement.placed) ->
-      let r = q.Placement.rect in
-      Printf.bprintf b "%d:%h,%h,%h,%h:%b;" q.Placement.module_id r.Rect.x
-        r.Rect.y r.Rect.w r.Rect.h q.Placement.rotated)
-    pl.Placement.placed;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 (* Recorded trajectories on ami33 at 15 stages: every RNG draw, accept
    decision and cost bit must replay. *)
 let test_anneal_pinned () =
@@ -455,7 +444,7 @@ let test_anneal_pinned () =
       (Float.equal best_cost s.Anneal.best_cost);
     Alcotest.(check bool) (name "initial cost") true
       (Float.equal initial_cost s.Anneal.initial_cost);
-    Alcotest.(check string) (name "plan") digest (plan_digest pl)
+    Alcotest.(check string) (name "plan") digest (Plan_digest.hex pl)
   in
   pin 0. ~iterations:2970 ~accepted:2154 ~best_cost:0x1.c49aa76f3d8ccp+13
     ~initial_cost:0x1.e6ca6c3e3bae8p+13

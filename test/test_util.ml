@@ -66,6 +66,21 @@ let test_rng_copy () =
   check Alcotest.int64 "copy resumes identically" (Rng.next_int64 a)
     (Rng.next_int64 b)
 
+(* SplitMix64's published reference stream for seed 0: the state
+   representation may change, the stream may not. *)
+let test_rng_reference_stream () =
+  let rng = Rng.create 0 in
+  List.iter
+    (fun want -> check Alcotest.int64 "splitmix64 seed 0" want (Rng.next_int64 rng))
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL ]
+
+(* One recorded shuffle: the draws and the swaps of every seeded
+   permutation (generated instances, orderings, projection sweeps). *)
+let test_rng_shuffle_pinned () =
+  let arr = Array.init 12 Fun.id in
+  Rng.shuffle (Rng.create 1990) arr;
+  check Alcotest.(array int) "seed 1990" [| 6; 9; 1; 4; 5; 3; 11; 0; 7; 2; 8; 10 |] arr
+
 (* ------------------------------ Stats ------------------------------ *)
 
 let test_mean () = checkf "mean" 2.5 (Stats.mean [ 1.; 2.; 3.; 4. ])
@@ -250,6 +265,8 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick
             test_rng_shuffle_permutation;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
+          Alcotest.test_case "shuffle pinned" `Quick test_rng_shuffle_pinned;
         ] );
       ( "stats",
         [
