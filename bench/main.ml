@@ -40,7 +40,7 @@ let commit_id =
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 when line <> "" -> line
        | _ -> "unknown"
-     with _ -> "unknown")
+     with Unix.Unix_error _ | Sys_error _ -> "unknown")
 
 (* Minimal JSON emitter — the experiment records are flat enough that a
    dependency-free writer beats pulling in a parser library. *)
@@ -565,7 +565,7 @@ let check_overhead () =
     }
   in
   let config =
-    { (base_config ()) with Augment.check = true; inspect = Some inspect }
+    { (base_config ()) with Augment.inspect = Some inspect }
   in
   ignore (Augment.run ~config nl);
   printf "%6s %8d %8d %8d %12.1f %14.1f\n" "total" !te !tw !ti !tlint !tcert

@@ -264,11 +264,6 @@ let report_engine_stats (st : Solver.stats) =
     | [] -> ""
     | ds -> Printf.sprintf "  degradations=%d" (List.length ds))
 
-let refine_arg =
-  Arg.(value & flag
-       & info [ "refine" ]
-           ~doc:"Run the re-insertion refinement after augmentation.")
-
 let slicing_arg =
   Arg.(value & flag
        & info [ "slicing" ]
@@ -453,7 +448,7 @@ let report_plan nl pl dt =
 let plan_cmd =
   let run input ami33 random seed verbose width group ordering wire envelope
       nodes formulation candidates time_budget checkpoint resume stop_after
-      faults refine slicing engine outline svg ascii lint =
+      faults slicing engine outline svg ascii lint =
     setup_logs verbose;
     match
       let ( let* ) = Result.bind in
@@ -473,9 +468,7 @@ let plan_cmd =
       let findings = ref [] in
       let config =
         if lint then
-          { config with
-            Augment.check = true;
-            inspect = Some (checking_hooks nl findings) }
+          { config with Augment.inspect = Some (checking_hooks nl findings) }
         else config
       in
       let config =
@@ -489,7 +482,7 @@ let plan_cmd =
         scenario_of ~seed ~width ~outline ~wire ~time_budget ~checkpoint
       in
       let solver_of = function
-        | `Milp -> Fp_engine.Milp_engine.make ~config ?resume ~refine ()
+        | `Milp -> Fp_engine.Milp_engine.make ~config ?resume ()
         | `Sa -> Fp_engine.Sa_engine.make ()
         | `Project -> Fp_engine.Project.solver
       in
@@ -541,7 +534,7 @@ let plan_cmd =
       const run $ input_arg $ ami33_arg $ random_arg $ seed_arg $ verbose_arg
       $ width_arg $ group_arg $ ordering_arg $ objective_arg $ envelope_arg
       $ nodes_arg $ formulation_arg $ candidates_arg $ time_budget_arg
-      $ checkpoint_arg $ resume_arg $ stop_after_arg $ faults_arg $ refine_arg $ slicing_arg $ engine_arg
+      $ checkpoint_arg $ resume_arg $ stop_after_arg $ faults_arg $ slicing_arg $ engine_arg
       $ outline_arg $ svg_arg $ ascii_arg $ lint_arg)
   in
   Cmd.v
@@ -578,9 +571,7 @@ let route_cmd =
       let findings = ref [] in
       let config =
         if lint then
-          { config with
-            Augment.check = true;
-            inspect = Some (checking_hooks nl findings) }
+          { config with Augment.inspect = Some (checking_hooks nl findings) }
         else config
       in
       let pl, st = solve_milp nl config in
@@ -648,9 +639,7 @@ let check_cmd =
       in
       let findings = ref [] in
       let config =
-        { config with
-          Augment.check = true;
-          inspect = Some (checking_hooks nl findings) }
+        { config with Augment.inspect = Some (checking_hooks nl findings) }
       in
       let pl, st = solve_milp nl config in
       certify_final nl pl findings;

@@ -1,10 +1,8 @@
 (* Source-invariant linter driver.
 
    Tree mode (no FILES): lint lib/, bin/, bench/ and examples/ under
-   --root (syntactic rules + the interprocedural SA010-SA012 over the
-   whole-tree call graph), subtract the
-   justification-annotated baseline, and exit non-zero when anything is
-   left:
+   --root, subtract the justification-annotated baseline, and exit
+   non-zero when anything is left:
 
      exit 0 — clean against the baseline
      exit 1 — unbaselined findings (or an unparseable file)
@@ -19,18 +17,12 @@
    missing or unreadable FILE is a hard error (exit 2), never a silent
    pass: the CI self-check loops `if fp_lint $f; then fail` over
    corpus positives, and a deleted fixture must not vacuously succeed.
-   The baseline is not consulted in file mode, and the cross-file
-   rules see only a single-file call graph.
-
-   Report artifacts (tree-wide, exit 0, no baseline needed):
-
-     --effects        print per-function effect summaries for lib/
-                      (committed as docs/effects-summary.md, CI-diffed)
-     --callgraph-dot  print the module-qualified call graph as Graphviz
+   The baseline is not consulted in file mode.
 
    --sarif FILE additionally writes the findings as SARIF 2.1 (baseline
    matches become suppressions) in either lint mode.  --verbose prints
-   per-pass wall-clock timings to stderr in tree mode.
+   the wall-clock time of the parse and of the check to stderr in tree
+   mode.
 
    See docs/static-analysis.md for the rule catalogue. *)
 
@@ -44,8 +36,6 @@ let () =
   let update = ref false in
   let role = ref "lib" in
   let list_rules = ref false in
-  let effects = ref false in
-  let callgraph_dot = ref false in
   let verbose = ref false in
   let sarif = ref "" in
   let files = ref [] in
@@ -64,12 +54,6 @@ let () =
         "ROLE role for explicit FILES: lib|bin|bench|examples (default: \
          lib)" );
       ("--list-rules", Arg.Set list_rules, " print the rule catalogue");
-      ( "--effects",
-        Arg.Set effects,
-        " print the inferred per-function effect summaries (lib/) and exit" );
-      ( "--callgraph-dot",
-        Arg.Set callgraph_dot,
-        " print the whole-tree call graph as Graphviz dot and exit" );
       ( "--verbose",
         Arg.Set verbose,
         " print per-pass timings to stderr (tree mode)" );
@@ -89,15 +73,6 @@ let () =
     exit 0
   end;
   let die code fmt = Printf.ksprintf (fun m -> prerr_endline m; exit code) fmt in
-  let clock = Unix.gettimeofday in
-  if !effects || !callgraph_dot then begin
-    let corpus = Lint.Driver.load_corpus ~clock ~root:!root () in
-    if !effects then
-      print_string (Lint.Driver.effects_report ~corpus ~root:!root ());
-    if !callgraph_dot then
-      print_string (Lint.Driver.callgraph_dot ~corpus ~root:!root ());
-    exit 0
-  end;
   (* Flush inside the bracket: with_open's close discards the error of a
      write that only fails at close (a full disk). *)
   let write_file path text =
@@ -148,21 +123,16 @@ let () =
       if !baseline <> "" then !baseline
       else Filename.concat !root "lint.baseline"
     in
-    let corpus = Lint.Driver.load_corpus ~clock ~root:!root () in
-    let t0 = clock () in
+    let t0 = Unix.gettimeofday () in
+    let corpus = Lint.Driver.load_corpus ~root:!root in
+    let t1 = Unix.gettimeofday () in
     let findings = Lint.Driver.lint_tree ~corpus ~root:!root () in
-    let t_check = clock () -. t0 in
+    let t2 = Unix.gettimeofday () in
     if !verbose then begin
-      List.iter
-        (fun (name, dt) ->
-          Printf.eprintf "fp_lint: pass %-16s %6.0f ms\n" name (dt *. 1000.))
-        (corpus.Lint.Driver.timings @ [ ("check", t_check) ]);
-      Printf.eprintf "fp_lint: total %21.0f ms\n"
-        ((t_check
-         +. List.fold_left
-              (fun a (_, dt) -> a +. dt)
-              0. corpus.Lint.Driver.timings)
-        *. 1000.)
+      let ms a b = (b -. a) *. 1000. in
+      Printf.eprintf "fp_lint: pass %-16s %6.0f ms\n" "parse" (ms t0 t1);
+      Printf.eprintf "fp_lint: pass %-16s %6.0f ms\n" "check" (ms t1 t2);
+      Printf.eprintf "fp_lint: total %21.0f ms\n" (ms t0 t2)
     end;
     if !update then begin
       write_file baseline_path (Lint.Baseline.render findings);

@@ -2,7 +2,6 @@
 
      floorplan (successive augmentation, Figure 3 steps 1-11)
        -> adjust (compaction + known-topology LP, step 13)
-       -> re-insertion refinement (extension)
        -> global routing (step 12)
        -> channel-width adjustment and final chip area
 
@@ -44,17 +43,13 @@ let () =
     tstats.Topology.num_vars tstats.Topology.num_constraints
     tstats.Topology.num_integer_vars pl.Placement.height;
 
-  (* 3. Re-insertion refinement. *)
-  let pl, rr = Refine.reinsert_top nl pl in
-  Printf.printf "refinement  : %d/%d rounds improved -> height %.1f\n"
-    rr.Refine.rounds_improved rr.Refine.rounds_attempted pl.Placement.height;
   Printf.printf "chip        : %.1f x %.1f, utilization %.1f%%\n"
     pl.Placement.chip_width pl.Placement.height
     (100. *. Metrics.utilization nl pl);
 
   Fp_viz.Svg.save "ami33.svg" (Fp_viz.Svg.of_placement ~netlist:nl pl);
 
-  (* 4. Global routing: critical nets first, congestion-weighted paths. *)
+  (* 3. Global routing: critical nets first, congestion-weighted paths. *)
   let rt =
     Fp_route.Global_router.route
       ~algorithm:(Fp_route.Global_router.Weighted { penalty = 3. })
@@ -67,7 +62,7 @@ let () =
     rt.Fp_route.Global_router.total_wirelength
     rt.Fp_route.Global_router.overflow_total rt.Fp_route.Global_router.num_failed;
 
-  (* 5. Channel-width adjustment and the final area figure. *)
+  (* 4. Channel-width adjustment and the final area figure. *)
   let rep = Fp_route.Adjust.compute rt ~pitch_h:pitch ~pitch_v:pitch in
   Format.printf "adjusted    : %a@." Fp_route.Adjust.pp rep;
 

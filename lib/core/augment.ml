@@ -65,7 +65,6 @@ type config = {
   compact_each_step : bool;
   critical_net_bound : (Fp_netlist.Net.t -> float option) option;
   milp : Branch_bound.params;
-  check : bool;
   inspect : inspect option;
   candidates : int;
   run_time_limit : float option;
@@ -94,7 +93,6 @@ let default_config =
         time_limit = 20.;
         min_improvement = 1e-4;
       };
-    check = false;
     inspect = None;
     candidates = 1;
     run_time_limit = None;
@@ -111,7 +109,7 @@ type result = {
 }
 
 (* Canonical rendering of everything in the config that shapes the
-   placement trajectory, digested into the checkpoint journal.  [check],
+   placement trajectory, digested into the checkpoint journal.
    [inspect] and [checkpoint] are observational.  The two closure fields
    cannot be digested, only their presence can: resuming with a
    {e different} bound function or objective weight of the same shape is
@@ -326,18 +324,18 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~mode group =
     | None, _ -> free
     (* The cap only steers a search, and a warm-only commit runs none:
        its model is built under the free bound, which always admits
-       the warm packing.  Under the cap, an outline the step cannot
-       meet can leave some pair with no feasible relation, and the
-       build would raise. *)
+       the warm packing. *)
     | Some _, `Warm_only _ -> free
     | Some h, `Solve _ ->
       (* Fixed-outline mode: cap the chip-height variable at the outline
-         height, but never below what keeps [Formulation.build]
-         well-posed — every item's minimum height must fit under the
-         bound, and the obstacle tops must stay inside it.  An outline
-         the step genuinely cannot meet then shows up as MILP
-         infeasibility (warm fallback + degradation), or as a failed
-         candidate when the build itself raises. *)
+         height, but never below the tallest item minimum or the
+         obstacle tops, which [Formulation.build] rejects outright.  An
+         outline the step cannot meet is then an infeasible step: either
+         the search proves the capped model infeasible, or some pair has
+         no relation that fits under the cap and the build raises
+         [Formulation.No_feasible_relation] (the caller then commits the
+         step warm-only).  Both commit the warm packing with a
+         [Raw_warm_packing] degradation. *)
       let floor_h =
         Array.fold_left
           (fun a it ->
@@ -393,7 +391,7 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~mode group =
       ~formulation:cfg.formulation
       ~allow_rotation:cfg.allow_rotation ~linearization:cfg.linearization
       ~fixed:obstacles ?wire_context ?net_length_bound:cfg.critical_net_bound
-      ~check:cfg.check (Array.to_list items)
+      (Array.to_list items)
   in
   let warm_sol =
     (* The warm placement avoids the obstacles by construction; if
@@ -629,13 +627,24 @@ let run ?(config = default_config) ?resume nl =
        same candidates under any schedule. *)
     let killed = Array.init n_cand (fun _ -> Fault.fire site_candidate) in
     let eval1 k =
+      let evaluate mode =
+        evaluate cfg nl ~chip_width ~skyline:!skyline ~placement:!placement
+          ~mode cands.(k)
+      in
       if killed.(k) then
         Error (Printexc.to_string (Fault.Injected site_candidate))
       else
         try
           Ok
-            (evaluate cfg nl ~chip_width ~skyline:!skyline
-               ~placement:!placement ~mode:(`Solve milp) cands.(k))
+            (try evaluate (`Solve milp)
+             with Formulation.No_feasible_relation pair ->
+               (* The outline cap leaves this pair no relation that
+                  fits: the capped model has no feasible point, so the
+                  step is infeasible, not failed. *)
+               Log.info (fun f ->
+                   f "no relation fits pair %s under the outline cap; \
+                      committing the warm packing" pair);
+               evaluate (`Warm_only Degradation.Raw_warm_packing))
         with
         | Abort -> raise Abort
         | exn -> Error (Printexc.to_string exn)
@@ -646,7 +655,7 @@ let run ?(config = default_config) ?resume nl =
       else begin
         (* One domain per candidate, never more than the machine has. *)
         let jobs = Int.min n_cand (Domain.recommended_domain_count ()) in
-        try Pool.map ~jobs ~n:n_cand (fun ~worker:_ k -> eval1 k) with
+        try Pool.map ~jobs ~n:n_cand eval1 with
         | Abort -> raise Abort
         | exn ->
           (* The batch itself failed; evaluate sequentially on the

@@ -146,9 +146,6 @@ type config = {
           exactly the nets whose bound the committed placement newly
           exceeds *)
   milp : Fp_milp.Branch_bound.params;
-  check : bool;
-      (** run {!Formulation.self_check} on every step's model (raises on
-          a structurally broken formulation) *)
   inspect : inspect option;  (** observation hooks; [None] by default *)
   candidates : int;
       (** candidate next groups evaluated per step (default [1]).  The
@@ -203,7 +200,7 @@ type result = {
 
 val config_digest : config -> string
 (** Hex MD5 of the configuration fields that shape the placement
-    trajectory.  Excludes the observational fields ([check], [inspect],
+    trajectory.  Excludes the observational fields ([inspect],
     [checkpoint]); closures contribute presence only.  The removed retry
     ladder's defaults are still rendered, so journals written before its
     removal resume. *)

@@ -220,14 +220,14 @@ let emit_rel model ~bigw ~bigh ?record gi gj rel slack =
   | Rel_below -> emit (gi.oy + gi.oh) gj.oy bigh
   | Rel_above -> emit (gj.oy + gj.oh) gi.oy bigh
 
+exception No_feasible_relation of string
+
 (* Non-overlap of objects i and j restricted to the geometrically
    possible relations.  Returns the separation encoding used. *)
 let add_separation model ~bigw ~bigh ?record ~tag gi gj allowed =
   let open Expr in
   match allowed with
-  | [] ->
-    invalid_arg
-      (Printf.sprintf "Formulation: no feasible relation for pair %s" tag)
+  | [] -> raise (No_feasible_relation tag)
   | [ r ] ->
     emit_rel model ~bigw ~bigh ?record gi gj r Expr.zero;
     Fixed_rel r
@@ -264,62 +264,6 @@ let pin_expr gx gy gw gh side =
   | Net.Right -> (gx + gw, gy + (0.5 * gh))
   | Net.Bottom -> (gx + (0.5 * gw), gy)
   | Net.Top -> (gx + (0.5 * gw), gy + gh)
-
-(* Structural self-audit of a freshly built formulation.  The builder is
-   supposed to emit a separation for every pair of objects and to declare
-   every Choice4 binary pair for 4-way branching; a refactor that drops
-   one produces a model that solves happily and overlaps modules.  Pure
-   fp_core (raises instead of returning diagnostics) so [build] can run
-   it without depending on [Fp_check]; the library-level lint reports the
-   same conditions as FL001-FL003 findings. *)
-let self_check (b : built) =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  let n = Array.length b.items in
-  let covered = Hashtbl.create 64 in
-  List.iter
-    (fun (i, other, sep) ->
-      (match other with
-      | Other_item j ->
-        Hashtbl.replace covered (`Item (Int.min i j, Int.max i j)) ()
-      | Other_fixed fi -> Hashtbl.replace covered (`Fixed (i, fi)) ());
-      match sep with
-      | Choice4 { bx; by } ->
-        let declared =
-          List.exists
-            (fun (a, c) -> (a = bx && c = by) || (a = by && c = bx))
-            (Model.pairs b.model)
-        in
-        if not declared then
-          fail "Formulation.self_check: Choice4 binaries of item %d not \
-                declared as a branching pair" i
-      | Fixed_rel _ | Choice2 _ -> ())
-    b.seps;
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if not (Hashtbl.mem covered (`Item (i, j))) then
-        fail "Formulation.self_check: no separation between items %d and %d"
-          i j
-    done
-  done;
-  List.iteri
-    (fun fi r ->
-      for i = 0 to n - 1 do
-        if not (Hashtbl.mem covered (`Fixed (i, fi))) then
-          fail
-            "Formulation.self_check: no separation between item %d and \
-             fixed rectangle %d"
-            i fi
-      done;
-      if
-        Tol.lt r.Rect.x 0.
-        || Tol.lt b.chip_width (Rect.x_max r)
-        || Tol.lt r.Rect.y 0.
-        || Tol.lt b.height_bound (Rect.y_max r)
-      then
-        fail "Formulation.self_check: fixed rectangle %d (%s) outside the \
-              chip strip"
-          fi (Rect.to_string r))
-    b.fixed
 
 (* ------------------------------------------------------------------ *)
 (* Formulation strengthening (tight mode)                               *)
@@ -541,7 +485,7 @@ let strengthening_inequalities b ~allow_rotation =
 let build ~chip_width ~height_bound ?(objective = Min_height)
     ?(allow_rotation = true) ?(linearization = Secant) ?(fixed = [])
     ?(formulation = Basic) ?wire_context
-    ?(net_length_bound = fun _ -> None) ?(check = false) item_list =
+    ?(net_length_bound = fun _ -> None) item_list =
   let items = Array.of_list item_list in
   let n = Array.length items in
   let model = Model.create ~name:"floorplan_step" () in
@@ -817,7 +761,6 @@ let build ~chip_width ~height_bound ?(objective = Min_height)
       (fun (name, e) ->
         Model.add_constr_or_bound model ~name e Model.Le Expr.zero)
       (strengthening_inequalities b ~allow_rotation));
-  if check then self_check b;
   b
 
 (* ------------------------------------------------------------------ *)

@@ -123,6 +123,13 @@ type built = {
       (** recorded big-M rows ([Tight] mode; empty in [Basic]) *)
 }
 
+exception No_feasible_relation of string
+(** The model would have no feasible point: for the pair with this tag
+    (["i0_i2"] for two items, ["i0_f1"] for an item and a fixed
+    rectangle) neither side by side nor stacked fits the chip width and
+    the height bound.  A step capped below what its group needs hits
+    this; {!Augment} treats it as an infeasible step. *)
+
 val build :
   chip_width:float ->
   height_bound:float ->
@@ -133,7 +140,6 @@ val build :
   ?formulation:mode ->
   ?wire_context:Fp_netlist.Netlist.t * Placement.t * int array ->
   ?net_length_bound:(Fp_netlist.Net.t -> float option) ->
-  ?check:bool ->
   item list ->
   built
 (** [build ~chip_width ~height_bound items] assembles the model.
@@ -153,12 +159,11 @@ val build :
     MILP then refuses placements that stretch that net, independent of
     the objective.  Requires [wire_context] to capture the nets.
 
-    [check] (default [false]) runs {!self_check} on the result before
-    returning it.
-
     @raise Invalid_argument if an item cannot fit the strip width, if
     [height_bound] is too small for any item, or if a wire objective is
-    requested without [wire_context]. *)
+    requested without [wire_context].
+    @raise No_feasible_relation if some pair has no relation that fits
+    the strip and [height_bound]. *)
 
 val retighten : built -> int
 (** Recompute every recorded per-pair big-M from the problem's current
@@ -169,16 +174,6 @@ val retighten : built -> int
     the number of rows that changed.  [build] calls it once at the end
     in [Tight] mode; exposed for the bound-tightening tests and
     for callers that shrink bounds after building. *)
-
-val self_check : built -> unit
-(** Structural self-audit: every item pair and every item–fixed pair must
-    carry a separation entry, every [Choice4] separation's binaries must
-    be declared as a branching pair, and every fixed rectangle must lie
-    inside the chip strip.  [build] establishes all of this by
-    construction; the audit guards against refactors that silently drop a
-    disjunction — the failure mode where the MILP happily overlaps
-    modules.  @raise Failure on the first violation.  [Fp_check.Lint]
-    reports the same conditions as structured diagnostics instead. *)
 
 val item_min_width : ?allow_rotation:bool -> item -> float
 (** Smallest feasible envelope width over rotation / flexing. *)

@@ -1,7 +1,6 @@
 module Augment = Fp_core.Augment
 module Compact = Fp_core.Compact
 module Topology = Fp_core.Topology
-module Refine = Fp_core.Refine
 module Outline = Fp_core.Outline
 module Degradation = Fp_core.Degradation
 module Abort = Fp_util.Abort
@@ -59,7 +58,7 @@ let with_abort_poll abort inspect =
           base.Augment.on_step stat pl;
           if Abort.is_set abort then raise Augment.Abort) }
 
-let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
+let make ?(config = Augment.default_config) ?resume () =
   let solve (ctx : Solver.context) (sc : Solver.scenario) nl =
     let t0 = Unix.gettimeofday () in
     let cfg = overlay ctx sc config in
@@ -74,10 +73,7 @@ let make ?(config = Augment.default_config) ?resume ?(refine = false) () =
       if res.Augment.interrupted then res.Augment.placement
       else begin
         let pl = Compact.vertical res.Augment.placement in
-        let pl, _ =
-          Topology.optimize ~linearization:cfg.Augment.linearization nl pl
-        in
-        if refine then fst (Refine.reinsert_top nl pl) else pl
+        fst (Topology.optimize ~linearization:cfg.Augment.linearization nl pl)
       end
     in
     let work =

@@ -2,10 +2,10 @@
 
     Wraps {!Fp_core.Augment.run} plus the finishing passes the CLI has
     always applied ({!Fp_core.Compact.vertical}, then
-    {!Fp_core.Topology.optimize}; optional {!Fp_core.Refine}).  With a
-    default scenario (free outline, no wire term, no budget) the engine
-    is {e bit-identical} to calling the pipeline directly: scenario
-    knobs only overlay the configuration when they are actually set.
+    {!Fp_core.Topology.optimize}).  With a default scenario (free
+    outline, no wire term, no budget) the engine is {e bit-identical} to
+    calling the pipeline directly: scenario knobs only overlay the
+    configuration when they are actually set.
 
     Scenario mapping: [Max_width w] fixes the chip width at [w];
     [Fixed {w; h}] additionally caps each step's height variable
@@ -18,8 +18,6 @@
 val make :
   ?config:Fp_core.Augment.config ->
   ?resume:Fp_core.Journal.t ->
-  ?refine:bool ->
   unit ->
   Solver.t
-(** [config] defaults to {!Fp_core.Augment.default_config}; [refine]
-    (default [false]) appends {!Fp_core.Refine.reinsert_top}. *)
+(** [config] defaults to {!Fp_core.Augment.default_config}. *)

@@ -80,9 +80,8 @@ let race ?(policy = Best_certified) ?jobs ~engines ~scenario nl =
       end
   in
   (match policy with
-  | Best_certified -> Pool.run ~jobs ~n (fun ~worker:_ i -> run_one i)
-  | First_certified ->
-    Pool.run ~abort ~jobs ~n (fun ~worker:_ i -> run_one i));
+  | Best_certified -> Pool.run ~jobs ~n run_one
+  | First_certified -> Pool.run ~abort ~jobs ~n run_one);
   let entries =
     List.init n (fun i ->
         match results.(i) with

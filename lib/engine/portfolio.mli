@@ -49,7 +49,7 @@ val race :
   scenario:Solver.scenario ->
   Fp_netlist.Netlist.t ->
   report
-(** [jobs] defaults to the engine count (each engine gets a worker);
+(** [jobs] defaults to the engine count (each engine gets a domain);
     values beyond the engine count are clamped down, [jobs = 1] runs
     the engines sequentially in order (still honoring the policy —
     under [First_certified] a sequential race short-circuits

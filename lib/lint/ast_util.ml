@@ -1,9 +1,7 @@
-(* Shared Parsetree helpers for the lint passes.
+(* Parsetree helpers for the per-file rules ({!Rules}).
 
    Everything here is purely syntactic: the linter runs before typing,
-   so these are the conservative building blocks the per-file rules
-   ({!Rules}), the call graph ({!Callgraph}), the effect inference
-   ({!Effects}) and the interprocedural rules ({!Interproc}) agree on. *)
+   so these are conservative building blocks. *)
 
 open Parsetree
 module S = Set.Make (String)
@@ -106,12 +104,8 @@ let container_mutator = function
   | [ "Bytes"; op ] when String.starts_with ~prefix:"set_" op -> true
   | _ -> false
 
-let synchronized = function
-  | ("Atomic" | "Mutex" | "Condition" | "Semaphore" | "Domain") :: _ -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
-(* Exception-flow shapes shared by SA006 and the Catches_all effect    *)
+(* Exception-flow shapes for SA006                                      *)
 (* ------------------------------------------------------------------ *)
 
 let rec pat_mentions_construct names p =

@@ -1,7 +1,7 @@
-(** Shared Parsetree helpers for the lint passes: identifier paths,
-    pattern variables, lvalue roots, and the exception-flow shapes that
-    both the syntactic SA006 rule and the [Catches_all] effect bit use.
-    Everything is purely syntactic — the linter runs before typing. *)
+(** Parsetree helpers for the per-file rules ({!Rules}): identifier
+    paths, pattern variables, lvalue roots, and the exception-flow
+    shapes of SA006.  Everything is purely syntactic — the linter runs
+    before typing. *)
 
 module S : Set.S with type elt = string
 
@@ -47,10 +47,6 @@ val container_mutator : string list -> bool
 (** Paths that mutate their first container argument
     ([Hashtbl.replace], [Queue.push], [Buffer.add_*], [Bytes.set_*],
     ...). *)
-
-val synchronized : string list -> bool
-(** Paths rooted in the blessed synchronization modules
-    ([Atomic], [Mutex], [Condition], [Semaphore], [Domain]). *)
 
 val pat_mentions_construct : string list -> Parsetree.pattern -> bool
 (** Does the pattern match any constructor whose last path component is

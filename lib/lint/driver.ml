@@ -33,70 +33,22 @@ let ml_files root =
     roots;
   List.sort String.compare !found
 
-(* The shared corpus: every source file parsed exactly once, with the
-   call graph and the effect fixpoint built over those same parses.
-   Each consumer — syntactic rules, Interproc, the report modes — reads
-   from here instead of re-walking the tree. *)
-type corpus = {
-  parses : (string * (Parsetree.structure, string) result) list;
-  cg : Callgraph.t;
-  effects : Effects.summaries;
-  timings : (string * float) list;  (* pass name, seconds, in run order *)
-}
+(* Every source file of the tree, parsed once. *)
+type corpus = (string * (Parsetree.structure, string) result) list
 
-(* [clock] defaults to a constant so lib/lint itself never reads the
-   wall clock (SA004); bin/fp_lint injects [Unix.gettimeofday] for the
-   [--verbose] per-pass timing report. *)
-let load_corpus ?(clock = fun () -> 0.) ~root () =
-  let timings = ref [] in
-  let timed name f =
-    let t0 = clock () in
-    let r = f () in
-    timings := (name, clock () -. t0) :: !timings;
-    r
-  in
-  let parses =
-    timed "parse" (fun () ->
-        List.map
-          (fun rel -> (rel, parse_file (Filename.concat root rel)))
-          (ml_files root))
-  in
-  let cg =
-    timed "callgraph" (fun () ->
-        Callgraph.of_sources
-          (List.filter_map
-             (fun (rel, p) ->
-               match p with Ok str -> Some (rel, str) | Error _ -> None)
-             parses))
-  in
-  let effects = timed "effects-infer" (fun () -> Effects.infer cg) in
-  { parses; cg; effects; timings = List.rev !timings }
+let load_corpus ~root =
+  List.map
+    (fun rel -> (rel, parse_file (Filename.concat root rel)))
+    (ml_files root)
 
-let check_one ~ctx ~corpus rel str =
-  let role = Rules.role_of_path rel in
-  let gate (f : Finding.t) = Rules.applies f.rule ~role ~path:rel in
-  let syntactic = Rules.check_structure ~ctx ~path:rel ~role str in
-  let interproc =
-    List.filter gate
-      (Interproc.check ~cg:corpus.cg ~summaries:corpus.effects ~file:rel)
-  in
-  syntactic @ interproc
+let unparseable rel msg =
+  Finding.v ~file:rel ~line:1 Finding.SA000 ("unparseable: " ^ msg)
 
 let lint_file ?(ctx = default_context) ?role ~root rel =
   let role = match role with Some r -> r | None -> Rules.role_of_path rel in
-  let abs = Filename.concat root rel in
-  match parse_file abs with
-  | Error msg ->
-    [ Finding.v ~file:rel ~line:1 Finding.SA000 ("unparseable: " ^ msg) ]
-  | Ok str ->
-    let cg = Callgraph.of_sources [ (rel, str) ] in
-    let summaries = Effects.infer cg in
-    let gate (f : Finding.t) = Rules.applies f.rule ~role ~path:rel in
-    let syntactic = Rules.check_structure ~ctx ~path:rel ~role str in
-    let interproc =
-      List.filter gate (Interproc.check ~cg ~summaries ~file:rel)
-    in
-    Finding.dedupe (syntactic @ interproc)
+  match parse_file (Filename.concat root rel) with
+  | Error msg -> [ unparseable rel msg ]
+  | Ok str -> Finding.dedupe (Rules.check_structure ~ctx ~path:rel ~role str)
 
 let docs_robustness = "docs/robustness.md"
 
@@ -106,14 +58,14 @@ let lint_corpus ?(ctx = default_context) corpus =
     List.concat_map
       (fun (rel, p) ->
         match p with
-        | Error msg ->
-          [ Finding.v ~file:rel ~line:1 Finding.SA000 ("unparseable: " ^ msg) ]
+        | Error msg -> [ unparseable rel msg ]
         | Ok str ->
           List.iter
             (fun (site, line) -> registered := (site, rel, line) :: !registered)
             (Rules.registered_sites str);
-          check_one ~ctx ~corpus rel str)
-      corpus.parses
+          Rules.check_structure ~ctx ~path:rel ~role:(Rules.role_of_path rel)
+            str)
+      corpus
   in
   (* Global SA007: the catalogue, the registrations and the docs must
      agree.  Per-file SA007 already flagged literals outside the
@@ -134,9 +86,7 @@ let lint_corpus ?(ctx = default_context) corpus =
              site))
       unregistered
   in
-  let root_has_sources =
-    List.exists (fun (rel, _) -> rel <> "") corpus.parses
-  in
+  let root_has_sources = List.exists (fun (rel, _) -> rel <> "") corpus in
   let f_docs ~root =
     let doc_path = Filename.concat root docs_robustness in
     if not (Sys.file_exists doc_path) then
@@ -168,16 +118,6 @@ let lint_corpus ?(ctx = default_context) corpus =
   (findings, f_unreg, f_docs)
 
 let lint_tree ?(ctx = default_context) ?corpus ~root () =
-  let corpus =
-    match corpus with Some c -> c | None -> load_corpus ~root ()
-  in
+  let corpus = match corpus with Some c -> c | None -> load_corpus ~root in
   let findings, f_unreg, f_docs = lint_corpus ~ctx corpus in
   Finding.dedupe (findings @ f_unreg @ f_docs ~root)
-
-let effects_report ?corpus ~root () =
-  let c = match corpus with Some c -> c | None -> load_corpus ~root () in
-  Effects.report c.cg c.effects
-
-let callgraph_dot ?corpus ~root () =
-  let c = match corpus with Some c -> c | None -> load_corpus ~root () in
-  Callgraph.to_dot c.cg

@@ -8,15 +8,13 @@ type rule =
   | SA006
   | SA007
   | SA008
-  | SA010
-  | SA011
-  | SA012
   | SA014
   | SA017
+  | SA018
 
 let all_rules =
-  [ SA001; SA002; SA003; SA004; SA005; SA006; SA007; SA008; SA010; SA011;
-    SA012; SA014; SA017 ]
+  [ SA001; SA002; SA003; SA004; SA005; SA006; SA007; SA008; SA014; SA017;
+    SA018 ]
 
 let rule_name = function
   | SA000 -> "SA000"
@@ -28,11 +26,9 @@ let rule_name = function
   | SA006 -> "SA006"
   | SA007 -> "SA007"
   | SA008 -> "SA008"
-  | SA010 -> "SA010"
-  | SA011 -> "SA011"
-  | SA012 -> "SA012"
   | SA014 -> "SA014"
   | SA017 -> "SA017"
+  | SA018 -> "SA018"
 
 let rule_of_string s =
   match String.uppercase_ascii s with
@@ -45,27 +41,30 @@ let rule_of_string s =
   | "SA006" -> Some SA006
   | "SA007" -> Some SA007
   | "SA008" -> Some SA008
-  | "SA010" -> Some SA010
-  | "SA011" -> Some SA011
-  | "SA012" -> Some SA012
   | "SA014" -> Some SA014
   | "SA017" -> Some SA017
+  | "SA018" -> Some SA018
   | _ -> None
 
 let rule_doc = function
   | SA000 -> "file could not be parsed (infrastructure failure, never baselined)"
   | SA001 ->
     "raw float comparison (=, <>, <, <=, >, >=, compare) — use Fp_geometry.Tol"
-  | SA002 -> "Stdlib.Random — all randomness must go through Fp_util.Rng"
+  | SA002 ->
+    "Stdlib.Random or Hashtbl.randomize — all randomness must go through \
+     Fp_util.Rng"
   | SA003 ->
-    "stdout/stderr write inside lib/ — log through Logs or return data; \
-     printing belongs to the CLI/bench layer"
+    "console IO inside lib/ (stdout/stderr writes, stdin reads) — log \
+     through Logs or return data; the console belongs to the CLI/bench \
+     layer"
   | SA004 ->
-    "wall-clock read (Unix.gettimeofday, Sys.time) outside the sanctioned \
-     timing sites (Augment, CLI/bench layer)"
+    "wall-clock read or sleep (Unix.gettimeofday, Unix.times, Unix.sleep, \
+     Sys.time) outside the sanctioned timing sites (Augment, CLI/bench \
+     layer)"
   | SA005 ->
-    "closure submitted to Pool.run/Pool.map directly mutates captured \
-     state without Atomic/Mutex (the disjoint-slot convention excepted)"
+    "a Pool.run/Pool.map task, or a let-bound helper it calls, mutates \
+     captured state without Atomic/Mutex (the disjoint-slot convention \
+     excepted)"
   | SA006 ->
     "catch-all exception handler can swallow Augment.Abort / Fault.Injected \
      — match concrete exceptions, re-raise, or record for a later re-raise"
@@ -75,17 +74,6 @@ let rule_doc = function
   | SA008 ->
     "exit with an integer literal — exit codes come from the \
      Fp_core.Degradation mapping"
-  | SA010 ->
-    "deterministic-replay code (pool task bodies, Journal) transitively \
-     reaches ambient RNG / wall clock / console IO through its call graph"
-  | SA011 ->
-    "a swallowing catch-all sits on a call path below a pool task body — \
-     Abort/Injected raised inside the task can vanish in a helper"
-  | SA012 ->
-    "captured mutable state flows into a pool task through helpers (a \
-     callee mutates it), the worker id escapes into captured state that \
-     is not an eager per-worker copy, or the task transitively mutates \
-     module-level state"
   | SA014 ->
     "raw channel open (open_in*, open_out*, In_channel.open_*, \
      Out_channel.open_*) — open through In_channel.with_open_* / \
@@ -93,6 +81,10 @@ let rule_doc = function
   | SA017 ->
     "read-modify-write on an Atomic.t as separate get/set — racy between \
      domains; use compare_and_set, fetch_and_add or exchange"
+  | SA018 ->
+    "module-level mutable container (ref, Hashtbl, Array, Bytes, Queue, \
+     Stack, Buffer) in lib/ — state that every pool task could race on; \
+     pass it as an argument"
 
 let rule_index = function
   | SA000 -> 0
@@ -104,11 +96,9 @@ let rule_index = function
   | SA006 -> 6
   | SA007 -> 7
   | SA008 -> 8
-  | SA010 -> 10
-  | SA011 -> 11
-  | SA012 -> 12
   | SA014 -> 14
   | SA017 -> 17
+  | SA018 -> 18
 
 type t = { file : string; line : int; rule : rule; msg : string }
 
@@ -128,9 +118,8 @@ let compare a b =
       if c <> 0 then c else String.compare a.msg b.msg
 
 (* One source defect, one finding: when several rules fire at the same
-   file:line (the interprocedural rules overlap the syntactic ones by
-   design — SA010 sees every clock read SA004 sees, one call deeper),
-   keep only the lowest-numbered rule at that location.  Findings of
+   file:line (a raw open whose contents are printed fires SA003 and
+   SA014), keep only the lowest-numbered rule at that location.  Findings of
    the same rule at one line are all kept: the global SA007 checks
    legitimately report several distinct drifts at a file's line 1.
    Output stays sorted by (file, line, rule, msg) for stable diffs. *)

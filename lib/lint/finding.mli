@@ -5,21 +5,23 @@
     SA ("source analysis") codes, mirroring the ML/FL/CT code scheme
     of {!Fp_check.Diagnostic} — the two layers are complementary:
     [Fp_check] certifies {e outputs} (models and floorplans), this
-    library certifies the {e source} that produces them.  SA001–SA008
-    are syntactic per-file rules ({!Rules}); SA010–SA012 are
-    interprocedural, grounded on the {!Callgraph} and the {!Effects}
-    fixpoint ({!Interproc}); SA014 and SA017 are per-file protocol
-    rules ({!Rules}); SA013, SA015 and SA016 are retired.  The full
-    catalogue with examples lives in [docs/static-analysis.md]. *)
+    library certifies the {e source} that produces them.  Every rule is
+    a syntactic per-file rule ({!Rules}); SA010–SA013, SA015 and SA016
+    are retired.  The full catalogue with examples lives in
+    [docs/static-analysis.md]. *)
 
 type rule =
   | SA000  (** the file could not be parsed — always fatal, never baselined *)
   | SA001  (** raw float comparison outside [lib/geometry/tol.ml] *)
-  | SA002  (** [Stdlib.Random] outside [lib/util/rng.ml] *)
-  | SA003  (** stdout/stderr write inside [lib/] *)
-  | SA004  (** wall-clock read outside the sanctioned timing sites *)
-  | SA005  (** closure given to [Pool.run]/[Pool.map] directly mutates
-               captured mutable state without [Atomic]/[Mutex] *)
+  | SA002  (** [Stdlib.Random] or [Hashtbl.randomize] outside
+               [lib/util/rng.ml] *)
+  | SA003  (** console IO (stdout/stderr write, stdin read) inside
+               [lib/] *)
+  | SA004  (** wall-clock read or sleep outside the sanctioned timing
+               sites *)
+  | SA005  (** a [Pool.run]/[Pool.map] task, or a let-bound helper of
+               the same definition that it calls, mutates captured
+               state without [Atomic]/[Mutex] *)
   | SA006  (** catch-all exception handler that can swallow
                [Augment.Abort] / [Fault.Injected] *)
   | SA007  (** fault-site literal not in the canonical
@@ -27,17 +29,13 @@ type rule =
                drift) *)
   | SA008  (** [exit] with an integer literal outside the
                {!Fp_core.Degradation} exit-code mapping *)
-  | SA010  (** deterministic-replay code (pool task bodies, [Journal])
-               transitively reaches ambient RNG / clock / IO *)
-  | SA011  (** a swallowing catch-all on a call path below a pool task *)
-  | SA012  (** captured mutable state escapes into a pool task through
-               helpers (worker-id escape, mutated-parameter flow, or
-               transitive module-state mutation) *)
   | SA014  (** a raw channel open instead of the
                [In_channel.with_open_*]/[Out_channel.with_open_*]
                brackets *)
   | SA017  (** read-modify-write on an [Atomic.t] as separate
                [get]/[set] instead of a CAS/[fetch_and_add] loop *)
+  | SA018  (** a module-level mutable container ([ref], [Hashtbl],
+               [Array], [Bytes], [Queue], [Stack], [Buffer]) in [lib/] *)
 
 val all_rules : rule list
 (** Every rule, in code order ([SA000] excluded — it is an infrastructure
@@ -72,8 +70,8 @@ val compare : t -> t -> int
 
 val dedupe : t list -> t list
 (** One source defect, one finding: at each [file:line], keep only the
-    findings of the lowest-numbered rule (the interprocedural rules
-    deliberately overlap the syntactic ones; the syntactic finding
-    wins).  Several findings of that same rule at one line are all kept
-    — the global SA007 checks legitimately report distinct drifts at a
-    file's line 1.  Output is sorted by {!compare}. *)
+    findings of the lowest-numbered rule (a raw channel open whose
+    contents are printed fires SA003 and SA014 at one line; SA003 is
+    kept).  Several findings of that same rule at one line are all
+    kept — the global SA007 checks legitimately report distinct drifts
+    at a file's line 1.  Output is sorted by {!compare}. *)

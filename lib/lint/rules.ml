@@ -26,19 +26,16 @@ let applies rule ~role ~path =
   | SA003 -> role = Lib
   | SA004 -> role = Lib && path <> "lib/core/augment.ml"
   | SA005 -> true
-  | SA006 -> role = Lib
+  | SA006 -> true
   | SA007 -> true
   | SA008 -> path <> "lib/core/degradation.ml"
-  (* Deterministic replay is a library concern; the CLI/bench layers
-     read clocks and print by design.  Exception flow below pool tasks
-     and captured-state escapes are wrong in every role. *)
-  | SA010 -> role = Lib
-  | SA011 -> true
-  | SA012 -> true
   (* CLI and bench code leaks channels and races atomics just as well
      as lib/ does. *)
   | SA014 -> true
   | SA017 -> true
+  (* Deterministic replay is a library concern; the CLI/bench layers
+     read clocks, print and keep run-level tables by design. *)
+  | SA018 -> role = Lib
 
 (* ------------------------------------------------------------------ *)
 (* SA001: raw float comparisons                                        *)
@@ -85,14 +82,19 @@ let rec floatish e =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* SA003 / SA004: forbidden identifiers                                 *)
+(* SA002 / SA003 / SA004: forbidden identifiers                         *)
 (* ------------------------------------------------------------------ *)
+
+let sa002_ident = function
+  | "Random" :: _ | [ "Hashtbl"; "randomize" ] -> true
+  | _ -> false
 
 let sa003_ident = function
   | [ ( "print_string" | "print_endline" | "print_newline" | "print_char"
       | "print_int" | "print_float" | "print_bytes" | "prerr_string"
       | "prerr_endline" | "prerr_newline" | "prerr_char" | "prerr_int"
-      | "prerr_float" | "prerr_bytes" | "stdout" | "stderr" ) ] ->
+      | "prerr_float" | "prerr_bytes" | "stdout" | "stderr" | "read_line"
+      | "read_int" | "read_int_opt" | "read_float" | "read_float_opt" ) ] ->
     true
   | [ "Printf"; ("printf" | "eprintf") ] -> true
   | [ "Format";
@@ -104,7 +106,9 @@ let sa003_ident = function
   | _ -> false
 
 let sa004_ident = function
-  | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] -> true
+  | [ "Unix"; ("gettimeofday" | "time" | "times" | "sleep" | "sleepf") ]
+  | [ "Sys"; "time" ] ->
+    true
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -234,28 +238,172 @@ let check_atomic_rmw ~emit body =
         | None -> ()))
     (List.rev !sets)
 
-(* Every value binding's body, descending into nested module
+(* Every top-level value binding, descending into nested module
    structures. *)
-let rec binding_bodies str =
+let rec bindings str =
   List.concat_map
     (fun item ->
       match item.pstr_desc with
-      | Pstr_value (_, vbs) -> List.map (fun vb -> vb.pvb_expr) vbs
+      | Pstr_value (_, vbs) -> vbs
       | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ }
         ->
-        binding_bodies sub
+        bindings sub
       | _ -> [])
     str
 
 (* ------------------------------------------------------------------ *)
-(* SA005: direct mutation inside Pool closures                          *)
+(* SA005: mutation of captured state in Pool tasks                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The closure walk itself lives in {!Interproc.analyze_task}: direct
-   mutation of captured state stays SA005 there, while everything the
-   syntactic heuristics used to guess at (worker-id escapes, mutation
-   through helpers) is SA012, grounded on the call graph and the effect
-   summaries. *)
+(* One task: a fun literal or a let-bound local function passed to
+   [Pool.run]/[Pool.map].  The walk tracks the names bound inside the
+   task (its parameters and lets), so a mutation of anything else is a
+   mutation of captured state.  A let-bound helper of the enclosing
+   definition that the task calls is walked too, with only its own
+   bindings local.  [results.(i) <- ...] at an index derived from a
+   task-local name is the disjoint-slot convention and stays exempt. *)
+let check_task ~emit ~local_fns ~fname task =
+  let visited = Hashtbl.create 4 in
+  let report helper line what =
+    emit line
+      (match helper with
+      | None ->
+        Printf.sprintf
+          "closure given to %s %s without Atomic/Mutex — racy under \
+           parallel execution and invisible to deterministic replay"
+          fname what
+      | Some g ->
+        Printf.sprintf
+          "local helper %s, called from a %s task, %s without \
+           Atomic/Mutex — racy under parallel execution"
+          g fname what)
+  in
+  let captured locals e =
+    match lvalue_head e with Some s -> not (S.mem s locals) | None -> true
+  in
+  let bind locals p = S.union locals (S.of_list (pat_vars [] p)) in
+  let rec walk helper locals e =
+    let sub = walk helper locals in
+    match e.pexp_desc with
+    | Pexp_let (rf, vbs, body) ->
+      let locals' =
+        List.fold_left (fun l vb -> bind l vb.pvb_pat) locals vbs
+      in
+      let rhs = if rf = Asttypes.Recursive then locals' else locals in
+      List.iter (fun vb -> walk helper rhs vb.pvb_expr) vbs;
+      walk helper locals' body
+    | Pexp_fun (_, dflt, pat, body) ->
+      Option.iter sub dflt;
+      walk helper (bind locals pat) body
+    | Pexp_function cases -> List.iter (case helper locals) cases
+    | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
+      sub scrut;
+      List.iter (case helper locals) cases
+    | Pexp_for (pat, lo, hi, _, body) ->
+      sub lo;
+      sub hi;
+      walk helper (bind locals pat) body
+    | Pexp_setfield (tgt, _, v) ->
+      if captured locals tgt then
+        report helper (line_of e.pexp_loc) "mutates a captured record field";
+      sub tgt;
+      sub v
+    | Pexp_ident { txt = Longident.Lident g; _ }
+      when (not (S.mem g locals)) && List.mem_assoc g local_fns ->
+      if not (Hashtbl.mem visited g) then begin
+        Hashtbl.add visited g ();
+        walk (Some g) S.empty (List.assoc g local_fns)
+      end
+    | Pexp_apply (f, args) ->
+      let line = line_of e.pexp_loc in
+      (match (ident_path f, args) with
+      | Some ([ ":=" ] | [ "incr" ] | [ "decr" ]), (_, r) :: _ ->
+        if captured locals r then
+          report helper line "mutates a captured ref cell"
+      | Some [ "Array"; ("set" | "unsafe_set") ], (_, arr) :: (_, idx) :: _ ->
+        if captured locals arr && not (mentions_any locals idx) then
+          report helper line
+            "writes a captured array at a non-task-local index (the \
+             disjoint-slot convention needs the index derived from the \
+             task argument)"
+      | Some p, (_, c0) :: _ when container_mutator p ->
+        if captured locals c0 then
+          report helper line
+            (Printf.sprintf "mutates a captured %s" (List.hd p))
+      | _ -> ());
+      sub f;
+      List.iter (fun (_, a) -> sub a) args
+    | _ -> List.iter sub (sub_exprs e)
+  and case helper locals c =
+    let locals = bind locals c.pc_lhs in
+    Option.iter (walk helper locals) c.pc_guard;
+    walk helper locals c.pc_rhs
+  in
+  walk None S.empty task
+
+(* Every pool batch in one definition body, with the let-bound local
+   functions in scope at the call. *)
+let check_pool_tasks ~emit body =
+  let rec scan local_fns e =
+    match e.pexp_desc with
+    | Pexp_let (rf, vbs, body) ->
+      let local_fns' =
+        List.fold_left
+          (fun acc vb ->
+            match (pat_vars [] vb.pvb_pat, is_fun_literal vb.pvb_expr) with
+            | [ n ], true -> (n, vb.pvb_expr) :: acc
+            | _ -> acc)
+          local_fns vbs
+      in
+      let rhs = if rf = Asttypes.Recursive then local_fns' else local_fns in
+      List.iter (fun vb -> scan rhs vb.pvb_expr) vbs;
+      scan local_fns' body
+    | Pexp_apply (f, args) ->
+      (match Option.bind (ident_path f) pool_fn with
+      | Some fname ->
+        List.iter
+          (fun (_, a) ->
+            let task =
+              match a.pexp_desc with
+              | Pexp_ident { txt = Longident.Lident g; _ } ->
+                List.assoc_opt g local_fns
+              | _ -> if is_fun_literal a then Some a else None
+            in
+            Option.iter (check_task ~emit ~local_fns ~fname) task)
+          args
+      | None -> ());
+      scan local_fns f;
+      List.iter (fun (_, a) -> scan local_fns a) args
+    | _ -> List.iter (scan local_fns) (sub_exprs e)
+  in
+  scan [] body
+
+(* ------------------------------------------------------------------ *)
+(* SA018: module-level mutable containers                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [Atomic.make] and [Mutex.create] are synchronization, not state a
+   task could race on, so they are not in the table. *)
+let container_ctor = function
+  | [ "ref" ]
+  | [ ("Hashtbl" | "Queue" | "Stack" | "Buffer"); "create" ]
+  | [ "Array"; ("make" | "init" | "make_matrix") ]
+  | [ "Bytes"; ("create" | "make") ] ->
+    true
+  | _ -> false
+
+(* The constructor a top-level binding's value comes from, looking
+   through type constraints, the body of a [let ... in] and the last
+   expression of a sequence. *)
+let rec allocates e =
+  match e.pexp_desc with
+  | Pexp_constraint (e, _) | Pexp_let (_, _, e) | Pexp_sequence (_, e) ->
+    allocates e
+  | Pexp_apply (f, _) -> (
+    match ident_path f with
+    | Some p when container_ctor p -> Some (String.concat "." p)
+    | _ -> None)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The per-file pass                                                    *)
@@ -271,12 +419,12 @@ let check_structure ~ctx ~path ~role str =
   in
   let emit rule loc msg = emit_at rule (line_of loc) msg in
   let on_ident loc p =
-    (match p with
-    | "Random" :: _ ->
-      emit SA002 loc "Stdlib.Random — all randomness must go through \
-                      Fp_util.Rng (explicit seeds, one generator per \
-                      domain)"
-    | _ -> ());
+    if sa002_ident p then
+      emit SA002 loc
+        (Printf.sprintf
+           "%s — all randomness must go through Fp_util.Rng (explicit \
+            seeds, one generator per domain)"
+           (String.concat "." p));
     if sa014_ident p then
       emit SA014 loc
         (Printf.sprintf
@@ -287,14 +435,14 @@ let check_structure ~ctx ~path ~role str =
     if sa003_ident p then
       emit SA003 loc
         (Printf.sprintf
-           "%s writes to stdout/stderr from lib/ — log through Logs or \
-            return data; printing belongs to the CLI/bench layer"
+           "%s does console IO from lib/ — log through Logs or return \
+            data; the console belongs to the CLI/bench layer"
            (String.concat "." p));
     if sa004_ident p then
       emit SA004 loc
         (Printf.sprintf
-           "%s — wall-clock reads are sanctioned only in Augment and the \
-            CLI/bench layer (deterministic replay)"
+           "%s — wall-clock reads and sleeps are sanctioned only in \
+            Augment and the CLI/bench layer (deterministic replay)"
            (String.concat "." p))
   in
   let on_apply loc f args =
@@ -342,9 +490,7 @@ let check_structure ~ctx ~path ~role str =
        pass-through; a handler that re-raises it may deliberately
        contain everything else (that is how hook/candidate failures are
        absorbed, Fault.Injected included).  A catch-all that records
-       the exception for a later re-raise is containment too — the
-       refined predicate is shared with the [catches-all] effect, so
-       SA006 and SA011 cannot disagree about what swallowing means. *)
+       the exception for a later re-raise is containment too. *)
     match swallowing_catch_all cases with
     | None -> ()
     | Some ca ->
@@ -367,7 +513,20 @@ let check_structure ~ctx ~path ~role str =
     }
   in
   it.structure it str;
-  List.iter (check_atomic_rmw ~emit:(emit_at SA017)) (binding_bodies str);
+  List.iter
+    (fun vb ->
+      check_atomic_rmw ~emit:(emit_at SA017) vb.pvb_expr;
+      check_pool_tasks ~emit:(emit_at SA005) vb.pvb_expr;
+      Option.iter
+        (fun ctor ->
+          emit SA018 vb.pvb_loc
+            (Printf.sprintf
+               "module-level %s — mutable state every pool task can \
+                race on; pass it as an argument, or guard it with a \
+                Mutex and justify in the baseline"
+               ctor))
+        (allocates vb.pvb_expr))
+    (bindings str);
   List.sort_uniq Finding.compare !out
 
 let registered_sites str =

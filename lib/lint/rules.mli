@@ -1,16 +1,15 @@
-(** The syntactic SA rule implementations: one pass of {!Ast_iterator}
-    over a parsed implementation file.
+(** The SA rule implementations: one pass of {!Ast_iterator} over a
+    parsed implementation file, plus per-definition scans.
 
     The rules here are {e syntactic} — they run on the Parsetree,
     before any typing — so each is a conservative approximation of the
     semantic invariant it guards, documented per rule in
-    [docs/static-analysis.md].  That includes the two protocol rules:
-    SA014 (channels open only through the Stdlib [with_open_*]
-    brackets) and SA017 (no [Atomic] read-modify-write as a separate
-    [get]/[set], checked per definition).  The interprocedural rules
-    (SA010–SA012) live in {!Interproc}, on top of {!Callgraph} and
-    {!Effects}.
-    Known-intentional violations are carried by the
+    [docs/static-analysis.md].  Three of them scan one top-level
+    definition at a time: SA005 (pool tasks and the let-bound helpers
+    they call must not mutate captured state), SA017 (no [Atomic]
+    read-modify-write as a separate [get]/[set]) and SA018 (no
+    module-level mutable container).  Nothing follows calls across
+    definitions.  Known-intentional violations are carried by the
     justification-annotated baseline ({!Baseline}), not by loosening
     the rules. *)
 
@@ -32,13 +31,11 @@ type context = { known_sites : string list }
 
 val applies : Finding.rule -> role:role -> path:string -> bool
 (** Whether [rule] is in force for a file.  Encodes the scoping and the
-    sanctioned-file exemptions: SA001/SA003/SA004/SA006/SA010 are
-    [Lib]-only (with [lib/geometry/tol.ml], [lib/core/augment.ml] and
-    [lib/core/degradation.ml] carved out of their respective rules);
-    SA002/SA005/SA007/SA008/SA011/SA012/SA014/SA017 apply to every
-    role.  The
-    {!Interproc} findings are filtered through this same table by the
-    driver. *)
+    sanctioned-file exemptions: SA001/SA003/SA004/SA018 are [Lib]-only
+    (with [lib/geometry/tol.ml] carved out of SA001 and
+    [lib/core/augment.ml] out of SA004); SA002/SA005/SA006/SA007/SA008/
+    SA014/SA017 apply to every role (with [lib/util/rng.ml] carved out
+    of SA002 and [lib/core/degradation.ml] out of SA008). *)
 
 val check_structure :
   ctx:context ->

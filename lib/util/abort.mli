@@ -15,8 +15,9 @@ type t
 
 exception Abort
 (** Raised by {!check}.  Engine code that catches exceptions below a
-    pool task must re-raise this one (the SA011 lint checks it) — it is
-    the cooperative-interrupt signal, not a failure. *)
+    pool task must re-raise this one (the SA006 lint checks every
+    catch-all) — it is the cooperative-interrupt signal, not a
+    failure. *)
 
 val create : unit -> t
 (** A fresh, unsignalled flag. *)

@@ -4,11 +4,11 @@
    exceptions still see a pool-level worker failure as distinct. *)
 let site_worker_exn = Fault.register "pool.worker_exn"
 
-(* One worker [w]: take task indices from the shared counter until it
-   runs past [n].  A raising task does not stop the worker — the batch
+(* One worker: take task indices from the shared counter until it runs
+   past [n].  A raising task does not stop the worker — the batch
    still drains — and the first exception it raised is returned, for
    [run] to re-raise once every domain is joined. *)
-let work ?abort ~next ~n f w () =
+let work ?abort ~next ~n f () =
   let failed = ref None in
   let rec loop () =
     let i = Atomic.fetch_and_add next 1 in
@@ -17,7 +17,7 @@ let work ?abort ~next ~n f w () =
       if not skip then begin
         try
           Fault.trip site_worker_exn;
-          f ~worker:w i
+          f i
         with exn -> if Option.is_none !failed then failed := Some exn
       end;
       loop ()
@@ -30,10 +30,9 @@ let run ?abort ~jobs ~n f =
   let jobs = Int.max 1 (Int.min jobs n) in
   let next = Atomic.make 0 in
   let spawned =
-    Array.init (jobs - 1) (fun k ->
-        Domain.spawn (work ?abort ~next ~n f (k + 1)))
+    Array.init (jobs - 1) (fun _ -> Domain.spawn (work ?abort ~next ~n f))
   in
-  let own = work ?abort ~next ~n f 0 () in
+  let own = work ?abort ~next ~n f () in
   let failed = Array.map Domain.join spawned in
   match List.find_map Fun.id (own :: Array.to_list failed) with
   | Some exn -> raise exn
@@ -41,5 +40,5 @@ let run ?abort ~jobs ~n f =
 
 let map ~jobs ~n f =
   let out = Array.make n None in
-  run ~jobs ~n (fun ~worker i -> out.(i) <- Some (f ~worker i));
+  run ~jobs ~n (fun i -> out.(i) <- Some (f i));
   Array.map Option.get out

@@ -1,6 +1,4 @@
 (* SA004 negative: logical clocks only. *)
-let ticks = ref 0
-
-let stamp () =
+let stamp ticks =
   incr ticks;
   !ticks

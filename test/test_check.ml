@@ -201,10 +201,7 @@ let test_formulation_missing_item_sep () =
       b.Formulation.seps
   in
   let broken = { b with Formulation.seps } in
-  check_error "FL001" "FL001" (Lint.formulation broken);
-  Alcotest.check_raises "self_check raises"
-    (Failure "Formulation.self_check: no separation between items 0 and 1")
-    (fun () -> Formulation.self_check broken)
+  check_error "FL001" "FL001" (Lint.formulation broken)
 
 let test_formulation_missing_fixed_sep () =
   let b = small_built ~fixed:[ rect 0. 0. 10. 2. ] () in
@@ -221,12 +218,14 @@ let test_formulation_fixed_outside_strip () =
   let broken = { b with Formulation.fixed = [ rect (-3.) 0. 10. 2. ] } in
   check_error "FL003" "FL003" (Lint.formulation broken)
 
-let test_build_check_flag_runs_self_check () =
-  (* ~check:true on an intact build must be silent. *)
-  ignore
-    (Formulation.build ~chip_width:10. ~height_bound:30. ~check:true
-       [ Formulation.plain_item (rigid 0 "a" 3. 4.);
-         Formulation.plain_item (rigid 1 "b" 2. 2.) ])
+(* An intact build, with no fixed rectangles, has nothing to report. *)
+let test_intact_build_lints_clean () =
+  let b =
+    Formulation.build ~chip_width:10. ~height_bound:30.
+      [ Formulation.plain_item (rigid 0 "a" 3. 4.);
+        Formulation.plain_item (rigid 1 "b" 2. 2.) ]
+  in
+  Alcotest.(check (list string)) "no errors" [] (error_codes (Lint.formulation b))
 
 (* All ami33 flow subproblem models lint without a single error-severity
    finding (the acceptance bar for the linter's false-positive rate).
@@ -243,8 +242,7 @@ let test_ami33_models_lint_clean () =
   let d = Augment.default_config in
   let config =
     { d with
-      Augment.check = true;
-      inspect = Some inspect;
+      Augment.inspect = Some inspect;
       milp = { d.Augment.milp with BB.node_limit = 40; time_limit = 3. } }
   in
   ignore (Augment.run ~config nl);
@@ -413,9 +411,9 @@ let test_covering_rejects_protruding_rect () =
 
 (* ------------------------ end-to-end property ------------------------ *)
 
-(* Random instance -> full plan pipeline -> the certifier accepts every
-   partial and the final placement; nudging any module into its neighbour
-   makes it reject. *)
+(* Random instance -> full plan pipeline -> every step's model lints
+   clean and the certifier accepts every partial and the final placement;
+   nudging any module into its neighbour makes it reject. *)
 let test_random_pipeline_certifies () =
   let rng = Fp_util.Rng.create 2026 in
   List.iter
@@ -428,7 +426,8 @@ let test_random_pipeline_certifies () =
       in
       let findings = ref [] in
       let inspect =
-        { Augment.on_model = (fun _ -> ());
+        { Augment.on_model =
+            (fun b -> findings := Lint.formulation b @ !findings);
           on_step =
             (fun _ pl ->
               findings := Certify.placement nl pl @ !findings;
@@ -445,8 +444,7 @@ let test_random_pipeline_certifies () =
       let d = Augment.default_config in
       let config =
         { d with
-          Augment.check = true;
-          inspect = Some inspect;
+          Augment.inspect = Some inspect;
           milp = { d.Augment.milp with BB.node_limit = 80; time_limit = 3. } }
       in
       let res = Augment.run ~config nl in
@@ -521,8 +519,8 @@ let () =
             test_formulation_missing_fixed_sep;
           Alcotest.test_case "fixed outside strip" `Quick
             test_formulation_fixed_outside_strip;
-          Alcotest.test_case "check flag" `Quick
-            test_build_check_flag_runs_self_check;
+          Alcotest.test_case "intact build lints clean" `Quick
+            test_intact_build_lints_clean;
           Alcotest.test_case "ami33 models lint clean" `Slow
             test_ami33_models_lint_clean;
         ] );

@@ -1,7 +1,6 @@
 (* Tests for Fp_core: placements, metrics, the MILP formulation of the
    paper's equations (2)-(8), the warm-start heuristic, successive
-   augmentation, known-topology LP optimization, compaction, and the
-   re-insertion refinement. *)
+   augmentation, known-topology LP optimization and compaction. *)
 
 module Rect = Fp_geometry.Rect
 module Skyline = Fp_geometry.Skyline
@@ -466,8 +465,8 @@ let test_modes_agree_on_optimum =
       in
       let solve mode =
         let built =
-          Formulation.build ~chip_width:6. ~height_bound:30. ~check:true
-            ~formulation:mode items
+          Formulation.build ~chip_width:6. ~height_bound:30. ~formulation:mode
+            items
         in
         match solve_mode built with
         | { BB.status = BB.Optimal; best = Some (_, obj); _ } -> obj
@@ -822,45 +821,6 @@ let test_compact_preserves_x () =
     checkf "y dropped" 0. p.Placement.rect.Rect.y
   | None -> Alcotest.fail "missing"
 
-(* ------------------------------ refine ------------------------------ *)
-
-let test_refine_improves_bad_placement () =
-  (* Tall narrow stack with room beside it: re-insertion should drop the
-     top module next to the stack. *)
-  let mods =
-    [ Module_def.rigid ~id:0 ~name:"a" ~w:3. ~h:3.;
-      Module_def.rigid ~id:1 ~name:"b" ~w:3. ~h:3.;
-      Module_def.rigid ~id:2 ~name:"c" ~w:3. ~h:3. ]
-  in
-  let nl = Netlist.create ~name:"stack" mods [] in
-  let pl =
-    Placement.empty ~chip_width:9.
-    |> Fun.flip Placement.add (placed 0 (rect 0. 0. 3. 3.))
-    |> Fun.flip Placement.add (placed 1 (rect 0. 3. 3. 3.))
-    |> Fun.flip Placement.add (placed 2 (rect 0. 6. 3. 3.))
-  in
-  let pl2, report = Refine.reinsert_top nl pl in
-  Alcotest.(check bool) "improved" true
-    (pl2.Placement.height < pl.Placement.height -. 1e-6);
-  Alcotest.(check bool) "rounds counted" true (report.Refine.rounds_improved >= 1);
-  Alcotest.(check bool) "valid" true (Placement.valid pl2 = Ok ());
-  checkf "reports heights" pl.Placement.height report.Refine.height_before
-
-let test_refine_keeps_good_placement () =
-  let mods =
-    [ Module_def.rigid ~id:0 ~name:"a" ~w:4. ~h:2.;
-      Module_def.rigid ~id:1 ~name:"b" ~w:4. ~h:2. ]
-  in
-  let nl = Netlist.create ~name:"tight" mods [] in
-  let pl =
-    Placement.empty ~chip_width:4.
-    |> Fun.flip Placement.add (placed 0 (rect 0. 0. 4. 2.))
-    |> Fun.flip Placement.add (placed 1 (rect 0. 2. 4. 2.))
-  in
-  let pl2, _ = Refine.reinsert_top nl pl in
-  checkf "unchanged height" 4. pl2.Placement.height;
-  Alcotest.(check bool) "valid" true (Placement.valid pl2 = Ok ())
-
 (* --------------------- end-to-end property test --------------------- *)
 
 let test_augment_always_valid =
@@ -986,12 +946,5 @@ let () =
           Alcotest.test_case "drops floaters" `Quick test_compact_drops_floaters;
           Alcotest.test_case "idempotent" `Quick test_compact_idempotent;
           Alcotest.test_case "preserves x" `Quick test_compact_preserves_x;
-        ] );
-      ( "refine",
-        [
-          Alcotest.test_case "improves bad placement" `Quick
-            test_refine_improves_bad_placement;
-          Alcotest.test_case "keeps good placement" `Quick
-            test_refine_keeps_good_placement;
         ] );
     ]

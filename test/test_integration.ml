@@ -136,14 +136,6 @@ let test_critical_net_bound_respected_end_to_end () =
       (l <= bound +. 1e-5)
   | None -> Alcotest.fail "victim net unplaced"
 
-let test_refine_after_pipeline_never_hurts () =
-  let nl = instance ~k:8 57 in
-  let pl, _, _ = pipeline nl in
-  let pl2, _ = Refine.reinsert_top nl pl in
-  Alcotest.(check bool) "refine never increases height" true
-    (pl2.Placement.height <= pl.Placement.height +. 1e-6);
-  Alcotest.(check bool) "still valid" true (Placement.valid pl2 = Ok ())
-
 let test_route_tree_connectivity () =
   (* Every routed net's edges form a connected subgraph touching every
      pin node (checked with union-find). *)
@@ -209,8 +201,6 @@ let () =
             test_instance_file_roundtrip_through_pipeline;
           Alcotest.test_case "critical net bound" `Quick
             test_critical_net_bound_respected_end_to_end;
-          Alcotest.test_case "refine never hurts" `Quick
-            test_refine_after_pipeline_never_hurts;
           Alcotest.test_case "route tree connectivity" `Quick
             test_route_tree_connectivity;
         ] );

@@ -1,15 +1,12 @@
-(* Tests for Fp_lint: rule detection on the corpus fixtures (syntactic
-   and interprocedural), call-graph resolution, effect-fixpoint
-   convergence, finding dedupe, SARIF rendering, baseline
-   parsing/matching/drift, and the repo-wide clean-against-baseline
-   check. *)
+(* Tests for Fp_lint: rule detection on the corpus fixtures, role
+   gating, SA005's walk into local helpers, finding dedupe, SARIF
+   rendering, baseline parsing/matching/drift, and the repo-wide
+   clean-against-baseline check. *)
 
 module Finding = Fp_lint.Finding
 module Rules = Fp_lint.Rules
 module Baseline = Fp_lint.Baseline
 module Driver = Fp_lint.Driver
-module Callgraph = Fp_lint.Callgraph
-module Effects = Fp_lint.Effects
 module Sarif = Fp_lint.Sarif
 
 let corpus = "lint_corpus"
@@ -25,66 +22,6 @@ let rule_names fs =
 let check_rules msg expected fs =
   Alcotest.(check (list string)) msg expected (rule_names fs)
 
-(* ------------------------- corpus: positives ------------------------ *)
-
-let test_sa001_pos () =
-  let fs = lint "sa001_pos.ml" in
-  check_rules "only SA001" [ "SA001" ] fs;
-  Alcotest.(check int) "all four sites" 4 (List.length fs)
-
-let test_sa002_pos () = check_rules "only SA002" [ "SA002" ] (lint "sa002_pos.ml")
-let test_sa003_pos () =
-  let fs = lint "sa003_pos.ml" in
-  check_rules "only SA003" [ "SA003" ] fs;
-  Alcotest.(check int) "all three writers" 3 (List.length fs)
-
-let test_sa004_pos () = check_rules "only SA004" [ "SA004" ] (lint "sa004_pos.ml")
-
-let test_sa005_pos () =
-  let fs = lint "sa005_pos.ml" in
-  (* The two direct mutations stay SA005; the worker-index escape moved
-     to the interprocedural escape rule (SA012), which supersedes the
-     old syntactic heuristic. *)
-  check_rules "SA005 + SA012" [ "SA005"; "SA012" ] fs;
-  Alcotest.(check int) "ref + field + worker escape" 3 (List.length fs)
-
-let test_sa006_pos () =
-  let fs = lint "sa006_pos.ml" in
-  check_rules "only SA006" [ "SA006" ] fs;
-  Alcotest.(check int) "both handlers" 2 (List.length fs)
-
-let test_sa007_pos () = check_rules "only SA007" [ "SA007" ] (lint "sa007_pos.ml")
-let test_sa008_pos () = check_rules "only SA008" [ "SA008" ] (lint "sa008_pos.ml")
-
-let test_sa000_unparseable () =
-  check_rules "SA000 for garbage" [ "SA000" ] (lint "sa000_bad.ml")
-
-(* ------------------ corpus: interprocedural rules ------------------- *)
-
-let test_sa010_pos () =
-  let fs = lint "sa010_pos.ml" in
-  (* Hashtbl.randomize and read_line sit two helpers below the task:
-     no syntactic rule fires on this file — only the transitive effect
-     pass sees the taint. *)
-  check_rules "only SA010 — old rules are blind here" [ "SA010" ] fs;
-  Alcotest.(check int) "rng chain + io chain" 2 (List.length fs)
-
-let test_sa011_pos () =
-  let fs = lint "sa011_pos.ml" in
-  (* The helper's own handler is SA006 (syntactic, at the handler);
-     SA011 adds the task-level view (at the task, one call up). *)
-  check_rules "SA006 at the handler, SA011 at the task" [ "SA006"; "SA011" ]
-    fs;
-  Alcotest.(check int) "one of each" 2 (List.length fs)
-
-let test_sa012_pos () =
-  let fs = lint "sa012_pos.ml" in
-  check_rules "only SA012" [ "SA012" ] fs;
-  Alcotest.(check int) "captured-arg + transitive + local helper" 3
-    (List.length fs)
-
-(* ---------------------- corpus: protocol rules ---------------------- *)
-
 let msg_contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -95,6 +32,67 @@ let some_msg_contains needle fs =
     ("some finding mentions " ^ needle)
     true
     (List.exists (fun f -> msg_contains ~needle f.Finding.msg) fs)
+
+(* ------------------------- corpus: positives ------------------------ *)
+
+let test_sa001_pos () =
+  let fs = lint "sa001_pos.ml" in
+  check_rules "only SA001" [ "SA001" ] fs;
+  Alcotest.(check int) "all four sites" 4 (List.length fs)
+
+let test_sa002_pos () =
+  let fs = lint "sa002_pos.ml" in
+  check_rules "only SA002" [ "SA002" ] fs;
+  Alcotest.(check int) "two Random uses + Hashtbl.randomize" 3
+    (List.length fs)
+
+let test_sa003_pos () =
+  let fs = lint "sa003_pos.ml" in
+  check_rules "only SA003" [ "SA003" ] fs;
+  Alcotest.(check int) "three writers + read_line" 4 (List.length fs)
+
+let test_sa004_pos () =
+  let fs = lint "sa004_pos.ml" in
+  check_rules "only SA004" [ "SA004" ] fs;
+  Alcotest.(check int) "two clock reads + a sleep" 3 (List.length fs)
+
+let test_sa005_pos () =
+  let fs = lint "sa005_pos.ml" in
+  check_rules "only SA005" [ "SA005" ] fs;
+  Alcotest.(check int) "ref + field + helper + Bytes setter" 4
+    (List.length fs);
+  (* the helper's write is reported in the helper, naming it *)
+  some_msg_contains "local helper mark" fs;
+  some_msg_contains "mutates a captured Bytes" fs
+
+let test_sa006_pos () =
+  let fs = lint "sa006_pos.ml" in
+  check_rules "only SA006" [ "SA006" ] fs;
+  Alcotest.(check int) "both handlers" 2 (List.length fs)
+
+(* SA011 reported a catch-all below a pool task at the task, and was the
+   only guard where SA006 was out of force.  It is retired: SA006 is in
+   force in every role and reports the handler itself. *)
+let test_sa011_below_task () =
+  Alcotest.(check bool) "SA011 is no longer a rule id" true
+    (Finding.rule_of_string "SA011" = None);
+  List.iter
+    (fun (where, role) ->
+      let fs = lint ~role "sa006_task_pos.ml" in
+      check_rules ("only SA006 " ^ where) [ "SA006" ] fs;
+      Alcotest.(check (list int))
+        ("at the helper's handler " ^ where)
+        [ 5 ]
+        (List.map (fun f -> f.Finding.line) fs))
+    [ ("in lib", Rules.Lib); ("in bin", Rules.Bin); ("in bench", Rules.Bench) ]
+
+let test_sa007_pos () = check_rules "only SA007" [ "SA007" ] (lint "sa007_pos.ml")
+let test_sa008_pos () = check_rules "only SA008" [ "SA008" ] (lint "sa008_pos.ml")
+
+let test_sa000_unparseable () =
+  check_rules "SA000 for garbage" [ "SA000" ] (lint "sa000_bad.ml")
+
+(* ---------------------- corpus: protocol rules ---------------------- *)
 
 let test_sa014_pos () =
   let fs = lint "sa014_pos.ml" in
@@ -110,6 +108,15 @@ let test_sa017_pos () =
   Alcotest.(check int) "inline RMW + let-bound RMW" 2 (List.length fs);
   some_msg_contains "Atomic.get:10 -> Atomic.set:11" fs
 
+(* ----------------------- corpus: module state ----------------------- *)
+
+let test_sa018_pos () =
+  let fs = lint "sa018_pos.ml" in
+  check_rules "only SA018" [ "SA018" ] fs;
+  Alcotest.(check int) "ref, Hashtbl, Array, Bytes, nested Buffer" 5
+    (List.length fs);
+  some_msg_contains "module-level Hashtbl.create" fs
+
 (* ------------------------- corpus: negatives ------------------------ *)
 
 let neg name () = check_rules (name ^ " clean") [] (lint name)
@@ -117,137 +124,75 @@ let neg name () = check_rules (name ^ " clean") [] (lint name)
 (* ------------------------------ roles ------------------------------- *)
 
 let test_roles_gate_rules () =
-  (* stdout writes and raw float comparisons are lib-only concerns. *)
+  (* console IO, raw float comparisons and module-level state are
+     lib-only concerns. *)
   check_rules "SA003 off outside lib" [] (lint ~role:Rules.Bench "sa003_pos.ml");
   check_rules "SA001 off outside lib" [] (lint ~role:Rules.Bin "sa001_pos.ml");
-  (* the domain-safety and exit-code rules follow the code everywhere. *)
-  check_rules "SA005/SA012 on in bench" [ "SA005"; "SA012" ]
+  check_rules "SA018 off outside lib" [] (lint ~role:Rules.Bin "sa018_pos.ml");
+  (* the domain-safety, exception-flow and exit-code rules follow the
+     code everywhere: a pool started from bin/ or bench/ must not lose
+     Abort in a catch-all either. *)
+  check_rules "SA005 on in bench" [ "SA005" ]
     (lint ~role:Rules.Bench "sa005_pos.ml");
+  check_rules "SA006 on in bin" [ "SA006" ] (lint ~role:Rules.Bin "sa006_pos.ml");
+  check_rules "SA006 on in bench" [ "SA006" ]
+    (lint ~role:Rules.Bench "sa006_pos.ml");
   check_rules "SA008 on in examples" [ "SA008" ]
-    (lint ~role:Rules.Examples "sa008_pos.ml");
-  (* replay taint is a lib concern; exception swallowing below a pool
-     task matters everywhere — at Bench the syntactic SA006 is off, so
-     SA011 is the only thing standing between Abort and the void. *)
-  check_rules "SA010 off outside lib" []
-    (lint ~role:Rules.Bench "sa010_pos.ml");
-  check_rules "SA011 alone in bench" [ "SA011" ]
-    (lint ~role:Rules.Bench "sa011_pos.ml");
-  check_rules "SA012 on in bin" [ "SA012" ]
-    (lint ~role:Rules.Bin "sa012_pos.ml")
+    (lint ~role:Rules.Examples "sa008_pos.ml")
 
-(* ----------------- call graph and effect inference ------------------ *)
+(* --------------- interprocedural: SA005's helper walk --------------- *)
 
-let parse src = Parse.implementation (Lexing.from_string src)
-
-let graph sources =
-  let cg = Callgraph.of_sources (List.map (fun (p, s) -> (p, parse s)) sources)
-  in
-  (cg, Effects.infer cg)
-
-let callees cg q =
-  List.sort_uniq String.compare
-    (List.map (fun c -> c.Callgraph.callee) (Callgraph.calls cg q))
-
-let test_callgraph_resolution () =
-  let cg, summaries =
-    graph
-      [
-        ("lib/core/alpha.ml", "let tick () = Unix.gettimeofday ()");
-        ( "lib/core/beta.ml",
-          "open Alpha\n\
-           let go () = tick ()\n\
-           module A = Alpha\n\
-           let go2 () = A.tick ()\n\
-           let go3 () = Fp_core.Alpha.tick ()" );
-      ]
-  in
-  (* cross-module resolution through open, module alias, and the
-     Fp_* dune-wrapper prefix all land on the same node. *)
-  List.iter
-    (fun q ->
-      Alcotest.(check (list string))
-        (q ^ " resolves through to Alpha.tick") [ "Alpha.tick" ] (callees cg q);
-      Alcotest.(check bool)
-        (q ^ " inherits the clock effect")
-        true
-        (Effects.has Effects.Clock (Effects.summary_of summaries q)))
-    [ "Beta.go"; "Beta.go2"; "Beta.go3" ];
-  (* and the witness chain names the whole path, primitive included. *)
-  Alcotest.(check (list string))
-    "witness chain"
-    [ "Beta.go"; "Alpha.tick"; "Unix.gettimeofday" ]
-    (Effects.chain summaries "Beta.go" Effects.Clock)
-
-let test_fixpoint_cycle_converges () =
-  let _, summaries =
-    graph
-      [
-        ( "lib/core/looper.ml",
-          "let rec ping n = if n = 0 then Unix.gettimeofday () else pong (n - 1)\n\
-           and pong n = ping n" );
-      ]
-  in
-  (* mutual recursion: the fixpoint must terminate and both nodes end
-     at the same lattice point. *)
-  List.iter
-    (fun q ->
-      Alcotest.(check bool) (q ^ " has clock") true
-        (Effects.has Effects.Clock (Effects.summary_of summaries q)))
-    [ "Looper.ping"; "Looper.pong" ]
-
-let test_mut_param_propagation () =
-  let _, summaries =
-    graph
-      [ ("lib/core/mut.ml", "let set r v = r := v\nlet via r = set r 1") ]
-  in
-  Alcotest.(check (list int))
-    "set mutates its first param" [ 0 ]
-    (Effects.summary_of summaries "Mut.set").Effects.mut_params;
-  (* the mutation flows through the call site into via's own param. *)
-  Alcotest.(check (list int))
-    "via inherits the mutation" [ 0 ]
-    (Effects.summary_of summaries "Mut.via").Effects.mut_params
+(* The one walk that crosses a function boundary: SA005 follows a pool
+   task into the let-bound helpers of its own definition. *)
+let lint_source src =
+  Rules.check_structure ~ctx:Driver.default_context ~path:"lib/core/cell.ml"
+    ~role:Rules.Lib
+    (Parse.implementation (Lexing.from_string src))
 
 (* The [Bytes] setter family writes its first argument, like
-   [Bytes.set]: a generator state kept in bytes must stay visible. *)
+   [Bytes.set]: a helper stamping a captured buffer is a race. *)
 let test_bytes_setter_mutates () =
-  let _, summaries =
-    graph
-      [ ("lib/core/cell.ml", "let put b x = Bytes.set_int64_le b 0 x") ]
-  in
-  Alcotest.(check (list int))
-    "put mutates b" [ 0 ]
-    (Effects.summary_of summaries "Cell.put").Effects.mut_params
-
-let test_infer_deterministic_and_bounded () =
-  let sources =
-    [
-      ("lib/core/alpha.ml", "let tick () = Unix.gettimeofday ()");
-      ("lib/core/beta.ml", "open Alpha\nlet go () = tick ()");
-    ]
-  in
-  let cg, s1 = graph sources in
-  let s2 = Effects.infer cg in
-  (* re-running the fixpoint reproduces the same lattice point for
-     every definition (idempotence — the widening bound is top). *)
   List.iter
-    (fun q ->
-      Alcotest.(check bool) (q ^ " stable") true
-        (Effects.equal (Effects.summary_of s1 q) (Effects.summary_of s2 q)))
-    (Callgraph.defs_order cg);
-  Alcotest.(check int) "top is the full powerset"
-    (List.length Effects.all_effects)
-    (Effects.Eff_set.cardinal Effects.top)
+    (fun write ->
+      let fs =
+        lint_source
+          (Printf.sprintf
+             "let stamp n =\n\
+             \  let buf = Bytes.create 8 in\n\
+             \  let put x = %s in\n\
+             \  Fp_util.Pool.run ~jobs:4 ~n (fun i -> put i)\n"
+             write)
+      in
+      check_rules write [ "SA005" ] fs;
+      Alcotest.(check int) (write ^ ": one finding") 1 (List.length fs);
+      some_msg_contains "local helper put" fs;
+      some_msg_contains "mutates a captured Bytes" fs)
+    [
+      "Bytes.set_int64_le buf 0 (Int64.of_int x)";
+      "Bytes.set_int32_be buf 0 (Int32.of_int x)";
+      "Bytes.set_uint16_le buf 0 x";
+      "Bytes.set_uint8 buf 0 x";
+    ];
+  (* a buffer the helper makes for itself is its own *)
+  check_rules "helper-local buffer" []
+    (lint_source
+       "let stamp n =\n\
+       \  let put x =\n\
+       \    let b = Bytes.create 8 in\n\
+       \    Bytes.set_int64_le b 0 (Int64.of_int x);\n\
+       \    Bytes.get_uint8 b 0\n\
+       \  in\n\
+       \  Fp_util.Pool.map ~jobs:4 ~n (fun i -> put i)\n")
 
 (* ------------------------------ dedupe ------------------------------ *)
 
 let test_dedupe () =
-  let f1 = Finding.v ~file:"lib/a.ml" ~line:10 Finding.SA005 "direct" in
-  let f2 = Finding.v ~file:"lib/a.ml" ~line:10 Finding.SA012 "interproc" in
-  let f3 = Finding.v ~file:"lib/a.ml" ~line:20 Finding.SA012 "elsewhere" in
+  let f1 = Finding.v ~file:"lib/a.ml" ~line:10 Finding.SA003 "prints" in
+  let f2 = Finding.v ~file:"lib/a.ml" ~line:10 Finding.SA014 "raw open" in
+  let f3 = Finding.v ~file:"lib/a.ml" ~line:20 Finding.SA014 "elsewhere" in
   let d = Finding.dedupe [ f3; f2; f1; f1 ] in
-  (* same file:line — the earlier (more specific) rule wins; exact
-     duplicates collapse; other lines are untouched. *)
+  (* same file:line — the earlier rule wins; exact duplicates
+     collapse; other lines are untouched. *)
   Alcotest.(check (list string))
     "earlier rule wins at a shared line"
     [ Finding.to_string f1; Finding.to_string f3 ]
@@ -256,7 +201,7 @@ let test_dedupe () =
 (* ------------------------------ SARIF ------------------------------- *)
 
 let test_sarif_render () =
-  let f = Finding.v ~file:"lib/a.ml" ~line:10 Finding.SA010 "taint" in
+  let f = Finding.v ~file:"lib/a.ml" ~line:10 Finding.SA004 "clock" in
   let contains ~needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1))
@@ -270,7 +215,7 @@ let test_sarif_render () =
     [
       {|"version":"2.1.0"|};
       {|"name":"fp_lint"|};
-      {|"ruleId":"SA010"|};
+      {|"ruleId":"SA004"|};
       {|"uri":"lib/a.ml"|};
       {|"uriBaseId":"SRCROOT"|};
       {|"startLine":10|};
@@ -281,7 +226,7 @@ let test_sarif_render () =
     {
       Baseline.e_file = "lib/a.ml";
       e_line = Some 10;
-      e_rule = Finding.SA010;
+      e_rule = Finding.SA004;
       e_just = "sanctioned timing site";
       e_src_line = 1;
     }
@@ -419,27 +364,6 @@ let test_repo_baseline_has_justifications () =
             (String.length (String.trim e.Baseline.e_just) >= 10))
         entries)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let test_repo_effects_summary_fresh () =
-  match find_repo_root () with
-  | None -> ()
-  | Some root ->
-    let committed = Filename.concat root "docs/effects-summary.md" in
-    if not (Sys.file_exists committed) then
-      Alcotest.fail "docs/effects-summary.md missing — regenerate with \
-                     fp_lint --effects"
-    else
-      Alcotest.(check string)
-        "committed effects summary matches --effects (regenerate with \
-         `dune exec bin/fp_lint.exe -- --root . --effects`)"
-        (Driver.effects_report ~root ())
-        (read_file committed)
-
 let () =
   Alcotest.run "fp_lint"
     [
@@ -455,14 +379,11 @@ let () =
           Alcotest.test_case "SA007 unknown fault site" `Quick test_sa007_pos;
           Alcotest.test_case "SA008 literal exit" `Quick test_sa008_pos;
           Alcotest.test_case "SA000 unparseable" `Quick test_sa000_unparseable;
-          Alcotest.test_case "SA010 transitive replay taint" `Quick
-            test_sa010_pos;
           Alcotest.test_case "SA011 swallowed below the task" `Quick
-            test_sa011_pos;
+            test_sa011_below_task;
           Alcotest.test_case "SA014 channel lifecycle" `Quick test_sa014_pos;
           Alcotest.test_case "SA017 atomic get/set RMW" `Quick test_sa017_pos;
-          Alcotest.test_case "SA012 escaping mutable captures" `Quick
-            test_sa012_pos;
+          Alcotest.test_case "SA018 module-level state" `Quick test_sa018_pos;
         ] );
       ( "corpus-neg",
         [
@@ -474,29 +395,27 @@ let () =
           Alcotest.test_case "containment handlers" `Quick (neg "sa006_neg.ml");
           Alcotest.test_case "catalogued fault site" `Quick (neg "sa007_neg.ml");
           Alcotest.test_case "mapped exit codes" `Quick (neg "sa008_neg.ml");
-          Alcotest.test_case "pure helper chains" `Quick (neg "sa010_neg.ml");
+          Alcotest.test_case "pure helper chains" `Quick
+            (neg "sa005_helpers_neg.ml");
           Alcotest.test_case "contained handlers below tasks" `Quick
-            (neg "sa011_neg.ml");
+            (neg "sa006_task_neg.ml");
           Alcotest.test_case "blessed capture shapes" `Quick
-            (neg "sa012_neg.ml");
+            (neg "sa005_capture_neg.ml");
           Alcotest.test_case "protected channels" `Quick (neg "sa014_neg.ml");
           Alcotest.test_case "CAS and fetch_and_add" `Quick
             (neg "sa017_neg.ml");
+          Alcotest.test_case "synchronized or per-call state" `Quick
+            (neg "sa018_neg.ml");
         ] );
       ( "roles",
         [ Alcotest.test_case "role gating" `Quick test_roles_gate_rules ] );
       ( "interproc",
         [
-          Alcotest.test_case "cross-module resolution" `Quick
-            test_callgraph_resolution;
-          Alcotest.test_case "cycle convergence" `Quick
-            test_fixpoint_cycle_converges;
-          Alcotest.test_case "mut-param propagation" `Quick
-            test_mut_param_propagation;
           Alcotest.test_case "bytes setters mutate" `Quick
             test_bytes_setter_mutates;
-          Alcotest.test_case "fixpoint idempotent, top bounded" `Quick
-            test_infer_deterministic_and_bounded;
+        ] );
+      ( "findings",
+        [
           Alcotest.test_case "dedupe keeps the earlier rule" `Quick
             test_dedupe;
           Alcotest.test_case "sarif rendering" `Quick test_sarif_render;
@@ -517,7 +436,5 @@ let () =
             test_repo_clean_against_baseline;
           Alcotest.test_case "justifications present" `Quick
             test_repo_baseline_has_justifications;
-          Alcotest.test_case "effects summary fresh" `Quick
-            test_repo_effects_summary_fresh;
         ] );
     ]

@@ -193,7 +193,7 @@ let test_heap_interleaved () =
 let test_pool_map_correct () =
   List.iter
     (fun jobs ->
-      let out = Pool.map ~jobs ~n:100 (fun ~worker:_ i -> i * i) in
+      let out = Pool.map ~jobs ~n:100 (fun i -> i * i) in
       check
         Alcotest.(array int)
         (Printf.sprintf "squares at jobs=%d" jobs)
@@ -201,18 +201,21 @@ let test_pool_map_correct () =
         out)
     [ 1; 2; 4 ];
   check Alcotest.(array int) "empty batch" [||]
-    (Pool.map ~jobs:4 ~n:0 (fun ~worker:_ i -> i))
+    (Pool.map ~jobs:4 ~n:0 Fun.id)
 
-let test_pool_worker_ids_in_range () =
+(* The domains a batch ran its tasks on, by [Domain.self]. *)
+let domains_used ~jobs ~n =
+  List.length
+    (List.sort_uniq Int.compare
+       (Array.to_list
+          (Pool.map ~jobs ~n (fun _ -> (Domain.self () :> int)))))
+
+let test_pool_domains_per_batch () =
   List.iter
     (fun (jobs, n) ->
-      let ids = Pool.map ~jobs ~n (fun ~worker _ -> worker) in
-      Array.iter
-        (fun w ->
-          if w < 0 || w >= Int.min jobs n then
-            Alcotest.failf "worker id %d out of range at jobs=%d n=%d" w jobs
-              n)
-        ids)
+      let used = domains_used ~jobs ~n in
+      if used < 1 || used > Int.max 1 (Int.min jobs n) then
+        Alcotest.failf "%d domains ran a batch at jobs=%d n=%d" used jobs n)
     [ (4, 64); (4, 2); (3, 3) ]
 
 let test_pool_exception_propagates () =
@@ -220,7 +223,7 @@ let test_pool_exception_propagates () =
      exception surfaces after every domain is joined. *)
   let ran = Array.make 16 false in
   Alcotest.check_raises "task failure surfaces" (Failure "task 7") (fun () ->
-      Pool.run ~jobs:3 ~n:16 (fun ~worker:_ i ->
+      Pool.run ~jobs:3 ~n:16 (fun i ->
           ran.(i) <- true;
           if i = 7 then failwith "task 7"));
   Alcotest.(check bool) "the batch drained" true (Array.for_all Fun.id ran)
@@ -229,7 +232,7 @@ let test_pool_skewed_batch () =
   (* One heavy task next to many trivial ones: free workers take the
      next index, and every result is produced exactly once. *)
   let out =
-    Pool.map ~jobs:4 ~n:32 (fun ~worker:_ i ->
+    Pool.map ~jobs:4 ~n:32 (fun i ->
         if i = 0 then begin
           let acc = ref 0 in
           for k = 1 to 2_000_000 do
@@ -243,13 +246,12 @@ let test_pool_skewed_batch () =
 
 let test_pool_jobs_clamped () =
   (* [jobs] below 1 runs the batch on the calling domain alone; above
-     [n], at most [n] workers run. *)
-  check Alcotest.(array int) "jobs 0: one worker" (Array.make 5 0)
-    (Pool.map ~jobs:0 ~n:5 (fun ~worker _ -> worker));
-  Alcotest.(check bool) "jobs 1000, n 3: ids below 3" true
-    (Array.for_all
-       (fun w -> w >= 0 && w < 3)
-       (Pool.map ~jobs:1000 ~n:3 (fun ~worker _ -> worker)))
+     [n], at most [n] domains run. *)
+  let self = (Domain.self () :> int) in
+  check Alcotest.(array int) "jobs 0: the calling domain" (Array.make 5 self)
+    (Pool.map ~jobs:0 ~n:5 (fun _ -> (Domain.self () :> int)));
+  Alcotest.(check bool) "jobs 1000, n 3: at most 3 domains" true
+    (domains_used ~jobs:1000 ~n:3 <= 3)
 
 let () =
   Alcotest.run "fp_util"
@@ -290,8 +292,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map correctness" `Quick test_pool_map_correct;
-          Alcotest.test_case "worker ids in range" `Quick
-            test_pool_worker_ids_in_range;
+          Alcotest.test_case "domains per batch" `Quick
+            test_pool_domains_per_batch;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception_propagates;
           Alcotest.test_case "skewed batch steals" `Quick
