@@ -178,22 +178,12 @@ let items_of_group cfg nl group =
     group
 
 let item_max_height ~allow_rotation ~linearization (it : Formulation.item) =
-  let l, r, b, t = it.Formulation.margins in
-  match it.Formulation.def.Module_def.shape with
-  | Module_def.Rigid { w; h } ->
-    let he = h +. b +. t and we = w +. l +. r in
+  match Formulation.flex_line ~linearization it with
+  | Some line -> snd (Formulation.flex_env line line.Formulation.dw_ub)
+  | None ->
+    let we = Formulation.item_min_width ~allow_rotation:false it
+    and he = Formulation.item_min_height ~allow_rotation:false it in
     if allow_rotation then Float.max he we else he
-  | Module_def.Flexible { area; min_aspect; max_aspect } ->
-    let w_min = Float.sqrt (area *. min_aspect)
-    and w_max = Float.sqrt (area *. max_aspect) in
-    let h_base = area /. w_max in
-    let slope =
-      match linearization with
-      | Formulation.Tangent -> area /. (w_max *. w_max)
-      | Formulation.Secant ->
-        if Tol.leq w_max w_min then 0. else area /. (w_min *. w_max)
-    in
-    h_base +. b +. t +. (slope *. Float.max 0. (w_max -. w_min))
 
 (* Default chip width: a roughly square chip for the total reserved
    area, never narrower than the widest single module. *)
@@ -256,28 +246,6 @@ let no_outcome =
     Branch_bound.status = Branch_bound.No_solution; best = None;
     work = Branch_bound.no_work; root_bound = nan;
   }
-
-(* Silicon rectangle of a warm-start choice, mirroring
-   [Formulation.extract] exactly — the direct-commit path for when even
-   the warm point's MILP encoding is rejected by numerics. *)
-let placed_of_choice (it : Formulation.item) (c : Warm_start.choice) =
-  let l, r, mb, mt = it.Formulation.margins in
-  let env = c.Warm_start.envelope in
-  let silicon =
-    match it.Formulation.def.Module_def.shape with
-    | Module_def.Rigid { w; h } ->
-      if c.Warm_start.rotated then
-        (* Margins rotate with the module: (l,r,b,t) -> (b,t,l,r). *)
-        Rect.make ~x:(env.Rect.x +. mb) ~y:(env.Rect.y +. l) ~w:h ~h:w
-      else Rect.make ~x:(env.Rect.x +. l) ~y:(env.Rect.y +. mb) ~w ~h
-    | Module_def.Flexible { area; _ } ->
-      let w_sil = Float.max Tol.eps (env.Rect.w -. l -. r) in
-      let h_sil = area /. w_sil in
-      Rect.make ~x:(env.Rect.x +. l) ~y:(env.Rect.y +. mb) ~w:w_sil ~h:h_sil
-  in
-  ignore r;
-  ignore mt;
-  (env, silicon, c.Warm_start.rotated)
 
 (* Net names whose configured length bound is exceeded in [placement]
    (only nets with every pin placed can be measured). *)
@@ -458,7 +426,11 @@ let evaluate cfg nl ~chip_width ~skyline ~placement ~mode group =
     | None ->
       (* Last resort: trust the geometric warm placement even though
          the model rejected its encoding. *)
-      Array.mapi (fun k c -> placed_of_choice items.(k) c) warm
+      Array.mapi
+        (fun k c ->
+          Formulation.decode_item items.(k) c.Warm_start.envelope
+            ~rotated:c.Warm_start.rotated)
+        warm
   in
   let pre_placement = placement in
   let placement = ref placement in

@@ -6,30 +6,21 @@ type choice = { envelope : Rect.t; rotated : bool }
 
 (* Candidate envelope shapes for an item: (w, h, rotated). *)
 let shapes ~allow_rotation ~linearization (it : Formulation.item) =
-  let l, r, b, t = it.Formulation.margins in
-  match it.Formulation.def.Module_def.shape with
-  | Module_def.Rigid { w; h } ->
-    let we = w +. l +. r and he = h +. b +. t in
+  match Formulation.flex_line ~linearization it with
+  | Some line ->
+    let at dw =
+      let w, h = Formulation.flex_env line dw in
+      (w, h, false)
+    in
+    let dw_ub = line.Formulation.dw_ub in
+    if dw_ub <= Fp_geometry.Tol.eps then [ at 0. ]
+    else [ at 0.; at (dw_ub /. 2.); at dw_ub ]
+  | None ->
+    let we = Formulation.item_min_width ~allow_rotation:false it
+    and he = Formulation.item_min_height ~allow_rotation:false it in
     if allow_rotation && not (Fp_geometry.Tol.equal we he) then
       [ (we, he, false); (he, we, true) ]
     else [ (we, he, false) ]
-  | Module_def.Flexible { area; min_aspect; max_aspect } ->
-    let w_min = Float.sqrt (area *. min_aspect)
-    and w_max = Float.sqrt (area *. max_aspect) in
-    let h_base = area /. w_max in
-    let slope =
-      match linearization with
-      | Formulation.Tangent -> area /. (w_max *. w_max)
-      | Formulation.Secant ->
-        if Fp_geometry.Tol.leq w_max w_min then 0.
-        else area /. (w_min *. w_max)
-    in
-    let at dw =
-      (w_max +. l +. r -. dw, h_base +. b +. t +. (slope *. dw), false)
-    in
-    let dw_ub = Float.max 0. (w_max -. w_min) in
-    if dw_ub <= Fp_geometry.Tol.eps then [ at 0. ]
-    else [ at 0.; at (dw_ub /. 2.); at dw_ub ]
 
 (* Place items in the given order; returns the choices and the resulting
    skyline height. *)

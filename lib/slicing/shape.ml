@@ -12,9 +12,8 @@ let leaf_options ?(samples = 6) (m : Module_def.t) =
   match m.Module_def.shape with
   | Module_def.Rigid { w; h } ->
     if Tol.equal w h then [ (w, h) ] else [ (w, h); (h, w) ]
-  | Module_def.Flexible { area; min_aspect; max_aspect } ->
-    let w_min = Float.sqrt (area *. min_aspect)
-    and w_max = Float.sqrt (area *. max_aspect) in
+  | Module_def.Flexible { area; _ } ->
+    let w_min, w_max = Module_def.width_range m in
     if Tol.leq w_max w_min then [ (w_min, area /. w_min) ]
     else
       List.init samples (fun i ->
