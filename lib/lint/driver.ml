@@ -46,7 +46,8 @@ let unparseable rel msg =
 
 let lint_file ?(ctx = default_context) ?role ~root rel =
   let role = match role with Some r -> r | None -> Rules.role_of_path rel in
-  match parse_file (Filename.concat root rel) with
+  let path = if Filename.is_relative rel then Filename.concat root rel else rel in
+  match parse_file path with
   | Error msg -> [ unparseable rel msg ]
   | Ok str -> Finding.dedupe (Rules.check_structure ~ctx ~path:rel ~role str)
 

@@ -28,8 +28,8 @@ val lint_file :
   root:string ->
   string ->
   Finding.t list
-(** Lint a single file.  The second argument is the path relative to
-    [root] (also the path findings carry).  [role] defaults to
+(** Lint a single file.  The second argument is its path, relative to
+    [root] unless it is absolute; findings carry it as given.  [role] defaults to
     {!Rules.role_of_path}; an unparseable file yields one [SA000]
     finding.  Findings come back deduplicated and sorted
     ({!Finding.dedupe}). *)

@@ -40,6 +40,14 @@ let test_sa001_pos () =
   check_rules "only SA001" [ "SA001" ] fs;
   Alcotest.(check int) "all four sites" 4 (List.length fs)
 
+(* File mode joins [root] only to relative paths: an absolute path
+   names the file itself. *)
+let test_absolute_path () =
+  let abs = Filename.concat (Sys.getcwd ()) (Filename.concat corpus "sa001_pos.ml") in
+  let fs = Driver.lint_file ~role:Rules.Lib ~root:"." abs in
+  check_rules "only SA001" [ "SA001" ] fs;
+  Alcotest.(check int) "all four sites" 4 (List.length fs)
+
 let test_sa002_pos () =
   let fs = lint "sa002_pos.ml" in
   check_rules "only SA002" [ "SA002" ] fs;
@@ -370,6 +378,7 @@ let () =
       ( "corpus-pos",
         [
           Alcotest.test_case "SA001 float compares" `Quick test_sa001_pos;
+          Alcotest.test_case "absolute file path" `Quick test_absolute_path;
           Alcotest.test_case "SA002 ambient Random" `Quick test_sa002_pos;
           Alcotest.test_case "SA003 stdout writes" `Quick test_sa003_pos;
           Alcotest.test_case "SA004 wall clock" `Quick test_sa004_pos;
