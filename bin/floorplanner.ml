@@ -140,9 +140,10 @@ let formulation_arg =
        & info [ "formulation" ] ~docv:"MODE"
            ~doc:
              "MILP strengthening mode: $(b,basic) (the paper's global \
-              big-M, the default) or $(b,tight) (per-pair big-M plus the \
-              static valid-inequality family in the base LP, with bound \
-              propagation at every branch-and-bound node).")
+              big-M, the default) or $(b,tight) (per-pair big-M after a \
+              root bound-propagation pass, a height bound clamped to the \
+              step's warm packing when only height is minimized, and \
+              bound propagation at every branch-and-bound node).")
 
 let time_budget_arg =
   Arg.(value & opt (some non_negative_float) None

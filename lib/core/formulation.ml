@@ -311,189 +311,6 @@ let retighten b =
     b.sep_rows;
   !changed
 
-(* Affine indicator of "relation [rel] is the selected disjunct": equals
-   1 at every integer point selecting [rel] and is <= 0 at every other
-   integer point.  The complement of the big-M slack multiplier. *)
-let indicator sep rel =
-  match sep with
-  | Fixed_rel _ -> None
-  | Choice2 { bin; if0; if1 } ->
-    if rel = if0 then Some Expr.(const 1. - var bin)
-    else if rel = if1 then Some (Expr.var bin)
-    else None
-  | Choice4 { bx; by } ->
-    Some
-      (match rel with
-      | Rel_left -> Expr.(const 1. - var bx - var by)
-      | Rel_right -> Expr.(var bx - var by)
-      | Rel_below -> Expr.(var by - var bx)
-      | Rel_above -> Expr.(var bx + var by - const 1.))
-
-(* Affine 0-1 indicator of "this pair is separated vertically" (below or
-   above), used by the clique inequalities. *)
-let vertical_indicator sep =
-  let vert = function Rel_below | Rel_above -> true | Rel_left | Rel_right -> false in
-  match sep with
-  | Fixed_rel r -> Expr.const (if vert r then 1. else 0.)
-  | Choice2 { bin; if0; if1 } -> (
-    match (vert if0, vert if1) with
-    | true, true -> Expr.const 1.
-    | false, false -> Expr.const 0.
-    | true, false -> Expr.(const 1. - var bin)
-    | false, true -> Expr.var bin)
-  | Choice4 { by; _ } -> Expr.var by
-
-let rel_tag = function
-  | Rel_left -> "l"
-  | Rel_right -> "r"
-  | Rel_below -> "b"
-  | Rel_above -> "a"
-
-(* The Huchette-Dey-Vielma-style strengthening family, as named
-   inequalities [expr <= 0] valid for every integer-feasible point:
-
-   - lower-push: the blocking object's position is at least the pushed
-     object's minimum extent whenever the relation is selected,
-     [c * ind <= pos] with [c] the interval lower bound of the extent;
-   - upper-push: the pushed object's extent clears the blocker's minimum
-     size inside the strip, [extent + d * ind <= W] (horizontal) or
-     [extent + d * ind <= height] (vertical, against the height
-     variable — this is what propagates into the objective bound);
-   - cliques: for item triples whose minimum widths cannot share the
-     strip width, at least one of the three pairs must separate
-     vertically ([1 - V_ij - V_ik - V_jk <= 0]); dually at most two may
-     when the minimum heights cannot share the height bound.
-
-   Inequalities vacuous under the current bounds are dropped, as are the
-   fixed-partner variants that the per-pair big-M already encodes
-   exactly (see {!emit_rel}).  Emission order is deterministic, so a
-   [Tight] model's rows come out the same on every run. *)
-let strengthening_inequalities b ~allow_rotation =
-  let prob = Model.problem b.model in
-  let lb e = fst (expr_interval prob e) and ub e = snd (expr_interval prob e) in
-  let geom k =
-    { ox = Expr.var b.x.(k); oy = Expr.var b.y.(k);
-      ow = b.w_expr.(k); oh = b.h_expr.(k) }
-  in
-  let fixed_arr = Array.of_list b.fixed in
-  let out = ref [] in
-  let emit name e =
-    (* Skip constant and interval-vacuous inequalities. *)
-    if Expr.terms e <> [] && Tol.gt (ub e) 0. then out := (name, e) :: !out
-  in
-  List.iter
-    (fun (i, other, s) ->
-      let gi = geom i in
-      let gj, tag, item_pair =
-        match other with
-        | Other_item j -> (geom j, Printf.sprintf "i%d_i%d" i j, true)
-        | Other_fixed fi ->
-          ( { ox = Expr.const fixed_arr.(fi).Rect.x;
-              oy = Expr.const fixed_arr.(fi).Rect.y;
-              ow = Expr.const fixed_arr.(fi).Rect.w;
-              oh = Expr.const fixed_arr.(fi).Rect.h },
-            Printf.sprintf "i%d_f%d" i fi, false )
-      in
-      List.iter
-        (fun rel ->
-          match indicator s rel with
-          | None -> ()
-          | Some ind ->
-            let open Expr in
-            if item_pair then begin
-              let target, c =
-                match rel with
-                | Rel_left -> (gj.ox, lb (gi.ox + gi.ow))
-                | Rel_right -> (gi.ox, lb (gj.ox + gj.ow))
-                | Rel_below -> (gj.oy, lb (gi.oy + gi.oh))
-                | Rel_above -> (gi.oy, lb (gj.oy + gj.oh))
-              in
-              if Tol.gt c 0. then
-                emit
-                  (Printf.sprintf "vi_lo_%s_%s" tag (rel_tag rel))
-                  ((c * ind) - target)
-            end;
-            let upper =
-              match rel with
-              | Rel_left when item_pair ->
-                let d = Float.max (lb gj.ow) (b.chip_width -. ub gj.ox) in
-                Some (gi.ox + gi.ow, d, const b.chip_width)
-              | Rel_right when item_pair ->
-                let d = Float.max (lb gi.ow) (b.chip_width -. ub gi.ox) in
-                Some (gj.ox + gj.ow, d, const b.chip_width)
-              | Rel_below -> Some (gi.oy + gi.oh, lb gj.oh, var b.height)
-              | Rel_above -> Some (gj.oy + gj.oh, lb gi.oh, var b.height)
-              | Rel_left | Rel_right -> None
-            in
-            (match upper with
-            | Some (extent, d, cap) when Tol.gt d 0. ->
-              emit
-                (Printf.sprintf "vi_hi_%s_%s" tag (rel_tag rel))
-                (extent + (d * ind) - cap)
-            | _ -> ()))
-        all_rels)
-    b.seps;
-  (* Pairwise stacking and clique inequalities over the vertical
-     indicators. *)
-  let pair_sep = Hashtbl.create 16 in
-  List.iter
-    (fun (i, other, s) ->
-      match other with
-      | Other_item j -> Hashtbl.replace pair_sep (Int.min i j, Int.max i j) s
-      | Other_fixed _ -> ())
-    b.seps;
-  let n = Array.length b.items in
-  let wmin = Array.map (item_min_width ~allow_rotation) b.items in
-  let hmin = Array.map (item_min_height ~allow_rotation) b.items in
-  (* Stacking: a vertically separated pair occupies at least the sum of
-     its minimum heights, [height >= maxh + (hmin_i + hmin_j - maxh) V].
-     Valid at V = 0 because each item alone forces [height >= hmin]
-     through its chip row, at V = 1 because the pair is stacked, and in
-     between because the bound is affine in V.  This is the family that
-     lifts the LP objective bound directly — the big-M disjunctions
-     alone let fractional indicators collapse every stack. *)
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      match Hashtbl.find_opt pair_sep (i, j) with
-      | None -> ()
-      | Some s ->
-        let maxh = Float.max hmin.(i) hmin.(j) in
-        let lift = hmin.(i) +. hmin.(j) -. maxh in
-        if Tol.gt lift 0. then
-          emit
-            (Printf.sprintf "vi_stk_i%d_i%d" i j)
-            Expr.(
-              const maxh + (lift * vertical_indicator s) - var b.height)
-    done
-  done;
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      for k = j + 1 to n - 1 do
-        match
-          ( Hashtbl.find_opt pair_sep (i, j),
-            Hashtbl.find_opt pair_sep (i, k),
-            Hashtbl.find_opt pair_sep (j, k) )
-        with
-        | Some sij, Some sik, Some sjk ->
-          let vsum =
-            Expr.(
-              vertical_indicator sij + vertical_indicator sik
-              + vertical_indicator sjk)
-          in
-          if Tol.gt (wmin.(i) +. wmin.(j) +. wmin.(k)) b.chip_width then
-            emit
-              (Printf.sprintf "vi_clqw_i%d_i%d_i%d" i j k)
-              Expr.(const 1. - vsum);
-          if Tol.gt (hmin.(i) +. hmin.(j) +. hmin.(k)) b.height_bound then
-            emit
-              (Printf.sprintf "vi_clqh_i%d_i%d_i%d" i j k)
-              Expr.(vsum - const 2.)
-        | _ -> ()
-      done
-    done
-  done;
-  List.rev !out
-
 let build ~chip_width ~height_bound ?(objective = Min_height)
     ?(allow_rotation = true) ?(linearization = Secant) ?(fixed = [])
     ?(formulation = Basic) ?wire_context
@@ -739,8 +556,7 @@ let build ~chip_width ~height_bound ?(objective = Min_height)
        below then reads those smaller boxes.  Bounds may also have
        tightened since the separation rows were emitted (later
        single-variable rows fold into bounds); either way every
-       per-pair M is recomputed against the final bounds before the
-       strengthening family is derived from those same bounds. *)
+       per-pair M is recomputed against the final bounds. *)
     let prob = Model.problem model in
     let ints = Array.make (Fp_lp.Lp_problem.num_vars prob) false in
     List.iter (fun v -> ints.(v) <- true) (Model.integer_vars model);
@@ -756,12 +572,7 @@ let build ~chip_width ~height_bound ?(objective = Min_height)
       List.iter
         (fun (v, lb, ub) -> Fp_lp.Lp_problem.set_bounds prob v ~lb ~ub)
         undo);
-    ignore (retighten b : int);
-    (* Static strengthening: the family joins the base LP. *)
-    List.iter
-      (fun (name, e) ->
-        Model.add_constr_or_bound model ~name e Model.Le Expr.zero)
-      (strengthening_inequalities b ~allow_rotation));
+    ignore (retighten b : int));
   b
 
 (* ------------------------------------------------------------------ *)

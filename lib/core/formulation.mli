@@ -39,12 +39,13 @@ type mode = Basic | Tight
     - [Basic]: the paper's formulation verbatim — every big-M coefficient
       is the direction cap (chip width / height bound).  Bit-identical to
       the historical behavior; the default.
-    - [Tight]: per-pair, per-direction big-M derived from variable bounds
-      ({!retighten}), plus the whole static valid-inequality family
-      (lower/upper pushes, stacking, clique inequalities) appended to the
-      base LP.  It also runs interval bound propagation: once on the
-      root problem here, and at every branch-and-bound node via
-      [Branch_bound.params.propagate]. *)
+    - [Tight]: the same rows with per-pair, per-direction big-M derived
+      from variable bounds ({!retighten}), after one interval bound
+      propagation pass over the root problem.  {!Augment} adds the
+      incumbent clamp (under a height-only objective the height bound
+      drops to the warm packing's) and bound propagation at every
+      branch-and-bound node ([Branch_bound.params.propagate]).  It adds
+      no rows. *)
 
 val mode_to_string : mode -> string
 (** ["basic" | "tight"] — CLI / bench / digest spelling. *)

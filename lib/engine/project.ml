@@ -306,8 +306,15 @@ let strip_widths outline st =
       (fun f -> Float.max (f *. side) widest)
       [ 1.0; 1.06; 1.12; 1.2; 1.3 ]
 
-let make ?(sweeps_per_height = 160) ?(max_heights = 40) ?(shrink = 0.97)
-    ?(allow_rotation = true) () =
+(* Projection sweeps per height target, shrink attempts per strip
+   width, and the geometric height decay between attempts.  The warm
+   packing may rotate rigid modules. *)
+let sweeps_per_height = 160
+let max_heights = 40
+let shrink = 0.97
+let allow_rotation = true
+
+let solver =
   let solve (ctx : Solver.context) (sc : Solver.scenario) nl =
     let t0 = Unix.gettimeofday () in
     let n = Netlist.num_modules nl in
@@ -472,5 +479,3 @@ let make ?(sweeps_per_height = 160) ?(max_heights = 40) ?(shrink = 0.97)
       nl (Some pl)
   in
   { Solver.name = "project"; solve }
-
-let solver = make ()

@@ -27,16 +27,3 @@
 
 val solver : Solver.t
 (** The engine under its portfolio name ["project"]. *)
-
-val make :
-  ?sweeps_per_height:int ->
-  ?max_heights:int ->
-  ?shrink:float ->
-  ?allow_rotation:bool ->
-  unit ->
-  Solver.t
-(** Tunable variant: [sweeps_per_height] (default [160]) caps the
-    projection sweeps per height target, [max_heights] (default [40])
-    the shrink attempts, [shrink] (default [0.97]) is the geometric
-    height decay, [allow_rotation] (default [true]) permits the
-    landscape normalization of rigid modules. *)

@@ -142,14 +142,15 @@ let tighten_bounds t v ~lb ~ub =
      a_k x_k <= b - min(sum_{i<>k} a_i x_i).
 
    [Ge] rows propagate through their negation and [Eq] rows through
-   both.  Sweeps run in row order until a fixpoint or [max_sweeps] —
-   deterministic, which the parallel branch-and-bound's replay relies
-   on.  [integral v] lets the caller snap tightened bounds of integer
-   variables to the enclosed integer range — on 0-1 variables that
-   turns interval reasoning into implication propagation (a binary
-   whose lower bound rises above 0 is fixed to 1), which is where most
-   of the search-tree pruning comes from. *)
-let propagate_bounds ?(max_sweeps = 16) ?(integral = fun _ -> false) t =
+   both.  Sweeps run in row order until a fixpoint or [max_sweeps], so
+   the result is deterministic.  [integral v] lets the caller snap
+   tightened bounds of integer variables to the enclosed integer range
+   — on 0-1 variables that turns interval reasoning into implication
+   propagation (a binary whose lower bound rises above 0 is fixed to
+   1), which is where most of the search-tree pruning comes from. *)
+let max_sweeps = 16
+
+let propagate_bounds ?(integral = fun _ -> false) t =
   let changed = ref [] in
   (* First-touch undo record per variable, so callers can restore. *)
   let touched = Hashtbl.create 16 in

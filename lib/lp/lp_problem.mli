@@ -32,8 +32,7 @@ val create : ?name:string -> unit -> t
 
 val copy : t -> t
 (** Independent copy: mutating the copy's bounds, objective, or rows
-    never affects the original.  Used by the parallel branch-and-bound to
-    give each domain its own problem to re-bound during search. *)
+    never affects the original. *)
 
 val name : t -> string
 
@@ -65,7 +64,6 @@ val tighten_bounds : t -> var -> lb:float -> ub:float -> bool
     (infeasible) constraint row instead of raising. *)
 
 val propagate_bounds :
-  ?max_sweeps:int ->
   ?integral:(var -> bool) ->
   t ->
   [ `Ok of (var * float * float) list
@@ -73,7 +71,7 @@ val propagate_bounds :
 (** Row-driven interval propagation (feasibility-based bound
     tightening): sweep every row in insertion order, shrinking each
     variable's interval to what the other terms' intervals leave
-    possible, until a fixpoint or [max_sweeps] (default 16) sweeps.
+    possible, until a fixpoint or 16 sweeps.
     [integral v] (default: nobody) marks variables whose tightened
     bounds may be snapped to the enclosed integer range — on 0-1
     variables that turns the interval sweep into implication

@@ -49,10 +49,10 @@ let add_constr t ?name lhs cmp rhs =
   Lp_problem.add_constr t.prob ?name (Expr.terms diff) cmp
     (-.Expr.constant diff)
 
-let add_constr_or_bound t ?name lhs cmp rhs =
+let add_constr_or_bound t lhs cmp rhs =
   let diff = Expr.(lhs - rhs) in
   let as_row () =
-    Lp_problem.add_constr t.prob ?name (Expr.terms diff) cmp
+    Lp_problem.add_constr t.prob (Expr.terms diff) cmp
       (-.Expr.constant diff)
   in
   match Expr.terms diff with

@@ -29,7 +29,7 @@ val add_integer : t -> lb:float -> ub:float -> string -> var
 val add_constr : t -> ?name:string -> Expr.t -> cmp -> Expr.t -> unit
 (** [add_constr t lhs cmp rhs]: constants migrate to the right-hand side. *)
 
-val add_constr_or_bound : t -> ?name:string -> Expr.t -> cmp -> Expr.t -> unit
+val add_constr_or_bound : t -> Expr.t -> cmp -> Expr.t -> unit
 (** Like {!add_constr}, but a row mentioning a single variable is folded
     into that variable's bounds ({!Fp_lp.Lp_problem.tighten_bounds})
     instead of adding a row — the revised simplex then handles it for

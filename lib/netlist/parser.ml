@@ -1,6 +1,7 @@
+(* Tabs and the carriage return of a CRLF line ending are blanks. *)
 let tokenize line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
+  String.map (function '\t' | '\r' -> ' ' | c -> c) line
+  |> String.split_on_char ' '
   |> List.filter (fun s -> s <> "")
 
 type accum = {

@@ -8,8 +8,9 @@
     net NAME [crit=0.8] MOD:SIDE MOD:SIDE ...
     v}
 
-    Sides are [L R B T].  Module references in nets are by name.  The
-    format exists so users can feed their own instances to
+    Tokens are separated by spaces or tabs, and lines may end in LF or
+    CRLF.  Sides are [L R B T].  Module references in nets are by name.
+    The format exists so users can feed their own instances to
     [bin/floorplanner] without writing OCaml. *)
 
 val of_string : string -> (Netlist.t, string) Result.t

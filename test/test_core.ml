@@ -450,23 +450,39 @@ let solve_mode built =
 let test_modes_agree_on_optimum =
   (* Basic and tight are the same integer program in two relaxations:
      on any instance both must certify optimal and agree on the optimal
-     height. *)
+     height.  Flexible items, a bottom-left obstacle and several chip
+     widths reach tight's per-pair M against a fixed rectangle, its
+     bounds on flexible extents and its root presolve. *)
   QCheck.Test.make ~name:"formulation modes agree on the optimum" ~count:20
-    QCheck.(list_of_size (Gen.return 3) (pair (int_range 1 4) (int_range 1 4)))
-    (fun dims ->
-      QCheck.assume (dims <> []);
+    QCheck.(
+      triple (int_range 6 9)
+        (option (pair (int_range 1 4) (int_range 1 3)))
+        (list_of_size (Gen.int_range 2 3)
+           (triple bool (int_range 1 4) (int_range 1 4))))
+    (fun (chip_width, obstacle, dims) ->
       let items =
         List.mapi
-          (fun i (w, h) ->
+          (fun i (flexible, w, h) ->
+            let name = Printf.sprintf "m%d" i
+            and w = float_of_int w
+            and h = float_of_int h in
             Formulation.plain_item
-              (Module_def.rigid ~id:i ~name:(Printf.sprintf "m%d" i)
-                 ~w:(float_of_int w) ~h:(float_of_int h)))
+              (if flexible then
+                 Module_def.flexible ~id:i ~name ~area:(w *. h)
+                   ~min_aspect:0.5 ~max_aspect:2.
+               else Module_def.rigid ~id:i ~name ~w ~h))
           dims
+      in
+      let fixed =
+        Option.to_list
+          (Option.map
+             (fun (w, h) -> rect 0. 0. (float_of_int w) (float_of_int h))
+             obstacle)
       in
       let solve mode =
         let built =
-          Formulation.build ~chip_width:6. ~height_bound:30. ~formulation:mode
-            items
+          Formulation.build ~chip_width:(float_of_int chip_width)
+            ~height_bound:30. ~fixed ~formulation:mode items
         in
         match solve_mode built with
         | { BB.status = BB.Optimal; best = Some (_, obj); _ } -> obj

@@ -234,6 +234,13 @@ let test_parser_roundtrip () =
   match Parser.of_string sample_text with
   | Error e -> Alcotest.fail e
   | Ok nl -> (
+    (* The same file saved with CRLF line endings reads the same. *)
+    let crlf = String.concat "\r\n" (String.split_on_char '\n' sample_text) in
+    (match Parser.of_string crlf with
+    | Error e -> Alcotest.fail ("CRLF: " ^ e)
+    | Ok nl_crlf ->
+      Alcotest.(check string) "CRLF renders the same" (Parser.to_string nl)
+        (Parser.to_string nl_crlf));
     match Parser.of_string (Parser.to_string nl) with
     | Error e -> Alcotest.fail ("roundtrip: " ^ e)
     | Ok nl2 ->
