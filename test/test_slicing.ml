@@ -430,14 +430,34 @@ let test_anneal_rejects_few_samples () =
          with Invalid_argument msg -> mentions msg "samples"))
     [ 1; 0; -1 ]
 
-(* Recorded trajectories on ami33 at 15 stages: every RNG draw, accept
-   decision and cost bit must replay. *)
+(* Recorded trajectories: every RNG draw, accept decision and cost bit
+   must replay.  ami33 runs 15 stages free (with and without the wire
+   term), under a width cap (the outline penalty) and under a fixed
+   outline; the 56-module instance is the largest the benchmark's
+   [heuristic_large] workload plans at seed 1, generated and read back
+   through the parser as the benchmark does, under the default
+   schedule. *)
 let test_anneal_pinned () =
-  let nl = Fp_data.Ami33.netlist () in
-  let pin wire_weight ~iterations ~accepted ~best_cost ~initial_cost ~digest =
-    let cfg = { Anneal.default_config with Anneal.stages = 15; wire_weight } in
+  let ami33 = Fp_data.Ami33.netlist () in
+  let k56 =
+    let nl =
+      Generator.generate
+        { Generator.default_config with
+          Generator.num_modules = 56;
+          total_area = 349. *. 56.;
+          seed = 7919 + 56 }
+    in
+    match Fp_netlist.Parser.(of_string (to_string nl)) with
+    | Ok nl -> nl
+    | Error e -> Alcotest.fail e
+  in
+  let ami33_at outline wire_weight =
+    { Anneal.default_config with Anneal.stages = 15; outline; wire_weight }
+  in
+  let pin label nl cfg ~iterations ~accepted ~best_cost ~initial_cost ~digest
+      =
     let pl, s = Anneal.run ~config:cfg nl in
-    let name what = Printf.sprintf "wire_weight %g: %s" wire_weight what in
+    let name what = Printf.sprintf "%s: %s" label what in
     Alcotest.(check int) (name "iterations") iterations s.Anneal.iterations;
     Alcotest.(check int) (name "accepted") accepted s.Anneal.accepted;
     Alcotest.(check bool) (name "best cost") true
@@ -446,12 +466,28 @@ let test_anneal_pinned () =
       (Float.equal initial_cost s.Anneal.initial_cost);
     Alcotest.(check string) (name "plan") digest (Plan_digest.hex pl)
   in
-  pin 0. ~iterations:2970 ~accepted:2154 ~best_cost:0x1.c49aa76f3d8ccp+13
-    ~initial_cost:0x1.e6ca6c3e3bae8p+13
+  let free = Fp_core.Outline.Free in
+  pin "ami33" ami33 (ami33_at free 0.) ~iterations:2970 ~accepted:2154
+    ~best_cost:0x1.c49aa76f3d8ccp+13 ~initial_cost:0x1.e6ca6c3e3bae8p+13
     ~digest:"c22058322cd071e1dac7907acdb80800";
-  pin 2. ~iterations:2970 ~accepted:2169 ~best_cost:0x1.59a47bae9dd39p+15
+  pin "ami33, wire_weight 2" ami33 (ami33_at free 2.) ~iterations:2970
+    ~accepted:2169 ~best_cost:0x1.59a47bae9dd39p+15
     ~initial_cost:0x1.d926cab6bcad4p+15
-    ~digest:"2cc56f011d13ec9b8a3d134746b3b6a9"
+    ~digest:"2cc56f011d13ec9b8a3d134746b3b6a9";
+  pin "ami33, max width 110" ami33
+    (ami33_at (Fp_core.Outline.Max_width 110.) 0.)
+    ~iterations:2970 ~accepted:2440 ~best_cost:0x1.155fae6446e9ep+14
+    ~initial_cost:0x1.f95d074dca9a2p+15
+    ~digest:"068439a37e6a1bb412808a7c56378801";
+  pin "ami33, fixed 140 x 130" ami33
+    (ami33_at (Fp_core.Outline.Fixed { w = 140.; h = 130. }) 0.)
+    ~iterations:2970 ~accepted:1459 ~best_cost:0x1.ffc6ef372fe95p+13
+    ~initial_cost:0x1.9f97f15ca462ap+17
+    ~digest:"dcfd1bf842781ba468037f8792c1bf18";
+  pin "56 modules, parsed" k56 Anneal.default_config ~iterations:20160
+    ~accepted:8685 ~best_cost:0x1.5f0740b58c25p+14
+    ~initial_cost:0x1.b695d72bf1b24p+14
+    ~digest:"df04bdd9020447e0bb8914b12f67fc0d"
 
 let test_anneal_single_module () =
   let nl = Netlist.create ~name:"one" [ rigid 0 4. 2. ] [] in
