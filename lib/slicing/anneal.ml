@@ -49,8 +49,7 @@ let placement_of ?width_limit sized =
 
 (* The chip comes from the root curve; a placement is built only for
    the wirelength term. *)
-let cost_of nl leaves cfg expr =
-  let sized = Shape.size expr leaves in
+let cost_of nl cfg sized =
   let width_limit = Outline.width_limit cfg.outline in
   let w, h = Shape.root ?width_limit sized in
   let wire =
@@ -100,7 +99,7 @@ let run ?(config = default_config) ?abort nl =
            Shape.leaf_options ~samples:config.flex_samples
              (Netlist.module_at nl m)))
   in
-  let cost_of = cost_of nl leaves config in
+  let cost_of = cost_of nl config in
   let deadline = Option.map (fun l -> t0 +. l) config.time_limit in
   let truncated = ref false in
   let truncate () =
@@ -109,7 +108,9 @@ let run ?(config = default_config) ?abort nl =
   in
   let rng = Rng.create config.seed in
   let expr = ref (Polish.of_modules n) in
-  let cost = ref (cost_of !expr) in
+  (* A move re-sizes only the cuts above the elements it changed. *)
+  let memo = Shape.memo leaves !expr in
+  let cost = ref (cost_of (Shape.current memo)) in
   let initial_cost = !cost in
   let best_expr = ref !expr and best_cost = ref !cost in
   let iterations = ref 0 and accepted = ref 0 in
@@ -117,11 +118,13 @@ let run ?(config = default_config) ?abort nl =
   let temp =
     let deltas = ref [] in
     let probe = ref !expr and pc = ref !cost in
+    let probe_memo = Shape.memo leaves !probe in
     for _ = 1 to 30 do
       match neighbour rng !probe with
       | None -> ()
       | Some cand ->
-        let c = cost_of cand in
+        let c = cost_of (Shape.resize probe_memo cand) in
+        Shape.accept probe_memo;
         deltas := Float.abs (c -. !pc) :: !deltas;
         probe := cand;
         pc := c
@@ -148,13 +151,14 @@ let run ?(config = default_config) ?abort nl =
          match neighbour rng !expr with
          | None -> ()
          | Some cand ->
-           let c = cost_of cand in
+           let c = cost_of (Shape.resize memo cand) in
            let delta = c -. !cost in
            let accept =
              delta <= 0.
              || Rng.float rng 1. < Float.exp (-.delta /. Float.max 1e-9 !temp)
            in
            if accept then begin
+             Shape.accept memo;
              incr accepted;
              expr := cand;
              cost := c;

@@ -2,7 +2,7 @@ type op = H | V
 type element = Operand of int | Operator of op
 type t = { elems : element array; n : int }
 
-let elements t = Array.to_list t.elems
+let element t i = t.elems.(i)
 let num_modules t = t.n
 
 let of_modules n =

@@ -21,7 +21,10 @@ val of_modules : int -> t
 (** [of_modules n] is the canonical initial expression
     [0 1 V 2 V ... (n-1) V].  @raise Invalid_argument if [n < 1]. *)
 
-val elements : t -> element list
+val element : t -> int -> element
+(** [element t i] is the element at position [i] of the postfix string,
+    [0 <= i < 2 num_modules t - 1]. *)
+
 val num_modules : t -> int
 
 val is_valid : t -> bool

@@ -59,7 +59,7 @@ let size expr options_of =
         match !stack with
         | r :: l :: rest -> stack := combine op l r :: rest
         | _ -> invalid_arg "All_pairs_shape.size: malformed expression"))
-    (Polish.elements expr);
+    (List.init ((2 * Polish.num_modules expr) - 1) (Polish.element expr));
   match !stack with
   | [ s ] -> s
   | _ -> invalid_arg "All_pairs_shape.size: malformed expression"

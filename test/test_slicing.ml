@@ -109,7 +109,7 @@ let test_random_walk_stays_valid =
 (* Swap every operand/operator pair and keep the positions whose result
    validates: [apply_m3] swaps, then checks [Polish.is_valid]. *)
 let brute_force_m3 e =
-  let elems = Array.of_list (Polish.elements e) in
+  let elems = Array.init ((2 * Polish.num_modules e) - 1) (Polish.element e) in
   List.filter
     (fun p ->
       match (elems.(p), elems.(p + 1)) with
@@ -291,24 +291,33 @@ let same_plan (ra, wa, ha) (rb, wb, hb) =
          && Float.equal a.Rect.h b.Rect.h)
        ra rb
 
+(* A sizing as the checks see it: the root frontier, and the plan
+   realized under a width limit. *)
+let shape_view s =
+  (Shape.frontier s, fun width_limit -> Shape.realize ?width_limit s)
+
+let all_pairs_view r =
+  ( All_pairs_shape.frontier r,
+    fun width_limit -> All_pairs_shape.realize ?width_limit r )
+
 (* Equal frontiers, and equal realizations with no limit, with a limit
    nothing fits, and at every frontier width. *)
-let matches_all_pairs opts e =
-  let s = Shape.size e (Shape.leaves opts)
-  and r = All_pairs_shape.size e (fun m -> opts.(m)) in
-  let f = Shape.frontier s and fr = All_pairs_shape.frontier r in
-  List.length f = List.length fr
+let same_sizing (f, realize) (f', realize') =
+  List.length f = List.length f'
   && List.for_all2
        (fun (w, h) (w', h') -> Float.equal w w' && Float.equal h h')
-       f fr
+       f f'
   && List.for_all
        (fun width_limit ->
-         same_plan
-           (Shape.realize ?width_limit s)
-           (All_pairs_shape.realize ?width_limit r))
+         same_plan (realize width_limit) (realize' width_limit))
        (None
        :: Some (fst (List.hd f) /. 2.)
        :: List.map (fun (w, _) -> Some w) f)
+
+let matches_all_pairs opts e =
+  same_sizing
+    (shape_view (Shape.size e (Shape.leaves opts)))
+    (all_pairs_view (All_pairs_shape.size e (fun m -> opts.(m))))
 
 (* Widths one ulp apart.  Modules a and b side by side are
    0.2 + 0.4 = 0.6000000000000001 wide and module c is 0.6 wide, so the
@@ -349,6 +358,53 @@ let test_merge_matches_all_pairs =
         done
       done;
       !ok)
+
+(* A memo walked through random moves, each accepted or rejected at
+   random, sizes every candidate as sizing it from scratch does, and as
+   the all-pairs merge does.  A move the walk cannot make leaves the
+   candidate equal to the current expression. *)
+let test_resize_matches_size =
+  QCheck.Test.make ~name:"incremental sizing matches full sizing" ~count:300
+    QCheck.(triple (int_range 0 5) (int_range 1 12) (int_range 0 1_000_000))
+    (fun (kind, n, seed) ->
+      let rng = Rng.create seed in
+      let defs = module_set kind n rng in
+      let opts =
+        Array.map (Shape.leaf_options ~samples:(2 + Rng.int rng 7)) defs
+      in
+      let leaves = Shape.leaves opts in
+      let e = ref (Polish.of_modules n) in
+      let memo = Shape.memo leaves !e in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        let cand = random_move rng !e in
+        let view = shape_view (Shape.resize memo cand) in
+        let all_pairs = All_pairs_shape.size cand (fun m -> opts.(m)) in
+        if
+          not
+            (same_sizing view (shape_view (Shape.size cand leaves))
+            && same_sizing view (all_pairs_view all_pairs))
+        then ok := false;
+        if Rng.int rng 2 = 0 then begin
+          Shape.accept memo;
+          e := cand
+        end
+      done;
+      !ok)
+
+let test_accept_needs_candidate () =
+  let leaves = leaves_of 3 (fun m -> Shape.leaf_options (rigid m 2. 1.)) in
+  let memo = Shape.memo leaves (Polish.of_modules 3) in
+  let refused () =
+    try
+      Shape.accept memo;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "nothing sized yet" true (refused ());
+  ignore (Shape.resize memo (Polish.apply_m1 (Polish.of_modules 3) 0));
+  Shape.accept memo;
+  Alcotest.(check bool) "candidate already accepted" true (refused ())
 
 (* ------------------------------ Anneal ------------------------------ *)
 
@@ -520,6 +576,9 @@ let () =
             test_realize_area_matches_curve;
           Alcotest.test_case "merge breaks ulp ties" `Quick test_merge_ulp_ties;
           QCheck_alcotest.to_alcotest test_merge_matches_all_pairs;
+          QCheck_alcotest.to_alcotest test_resize_matches_size;
+          Alcotest.test_case "accept needs a candidate" `Quick
+            test_accept_needs_candidate;
         ] );
       ( "anneal",
         [
