@@ -30,17 +30,27 @@ let printf = Printf.printf
 let t_start = Unix.gettimeofday ()
 
 (* Git commit id stamped into every JSON record — lets a regression
-   tracker attribute a number to the code that produced it.  "unknown"
-   outside a work tree (e.g. a tarball build). *)
+   tracker attribute a number to the code that produced it.  HEAD's full
+   hash, with "-dirty" appended when a tracked file differs from HEAD,
+   since those numbers come from code no commit holds (untracked files,
+   such as a bench output directory, do not count).  "unknown" outside
+   a work tree (e.g. a tarball build). *)
 let commit_id =
   lazy
-    (try
-       let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-       let line = try input_line ic with End_of_file -> "" in
-       match Unix.close_process_in ic with
-       | Unix.WEXITED 0 when line <> "" -> line
-       | _ -> "unknown"
-     with Unix.Unix_error _ | Sys_error _ -> "unknown")
+    (let git args =
+       try
+         let ic = Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") in
+         let line = try input_line ic with End_of_file -> "" in
+         (line, Unix.close_process_in ic)
+       with Unix.Unix_error _ | Sys_error _ -> ("", Unix.WEXITED 127)
+     in
+     match git "rev-parse HEAD" with
+     | head, Unix.WEXITED 0 when head <> "" -> (
+       match git "diff --quiet HEAD" with
+       | _, Unix.WEXITED 0 -> head
+       | _, Unix.WEXITED 1 -> head ^ "-dirty"
+       | _ -> "unknown")
+     | _ -> "unknown")
 
 (* Minimal JSON emitter — the experiment records are flat enough that a
    dependency-free writer beats pulling in a parser library. *)

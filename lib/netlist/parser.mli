@@ -19,7 +19,11 @@ val of_string : string -> (Netlist.t, string) Result.t
 val of_file : string -> (Netlist.t, string) Result.t
 
 val to_string : Netlist.t -> string
-(** Render an instance in the same format ([of_string (to_string t)]
-    round-trips). *)
+(** Render an instance in the same format.  Dimensions, aspect bounds
+    and criticalities are printed to 12 significant digits ([%.12g]), so
+    the text round-trips (rendering [of_string (to_string t)] gives
+    [to_string t] again) but the values need not: the parsed instance
+    can differ from [t] in the last digits of a float, and the MILP's
+    search can follow those digits. *)
 
 val to_file : string -> Netlist.t -> unit
