@@ -8,9 +8,12 @@
     outline penalty; schedule: geometric cooling with an adaptive initial
     temperature.
 
-    Each move costs one linear pass over the expression: the leaf curves
-    are built once per run, every cut merges its children's curves
-    ({!Shape.size}), and the chip is read from the root curve
+    A move re-merges only the cuts it touches: the leaf curves are built
+    once per run, and each run sizes its moves through its own
+    {!Shape.memo}, which re-merges the cuts within the changed span of
+    the expression and their ancestors and reuses every other subtree
+    (6–8 merges per move on 33–56 modules, where sizing the whole
+    expression takes 32–55).  The chip is read from the root curve
     ({!Shape.root}) — the same root {!Shape.realize} places, so cost and
     plan cannot disagree.  A placement is built per move only for the
     wirelength term (when [wire_weight] is non-zero).
