@@ -910,6 +910,28 @@ let test_topology_matches_longest_chain () =
     true
     (!lowered * 2 > !plans)
 
+(* The §2.5 LP of a 50-module projection plan has 1,288 rows, ten times
+   a branch-and-bound node LP's, and refactorizes its basis every
+   {!Fp_lp.Basis.refactor_every} pivots: pinned as it solves today. *)
+let test_topology_large_pinned () =
+  let nl =
+    List.hd (Fp_data.Instances.random_family ~sizes:[ 50 ] ~seed:1000)
+  in
+  let sc = Fp_engine.Solver.default_scenario in
+  let o =
+    Fp_engine.Project.solver.Fp_engine.Solver.solve
+      (Fp_engine.Solver.of_scenario sc) sc nl
+  in
+  let pl2, stats = Topology.optimize nl (Option.get o.Fp_engine.Solver.plan) in
+  Alcotest.(check int) "rows" 1288 stats.Topology.num_constraints;
+  let hex = Printf.sprintf "%h" in
+  Alcotest.(check string) "height before" "0x1.c4fe700951993p+6"
+    (hex stats.Topology.height_before);
+  Alcotest.(check string) "height after" "0x1.c4fe700951995p+6"
+    (hex stats.Topology.height_after);
+  Alcotest.(check string) "plan" "d84c15ab76a25ffcc1a5d31b4c40a1a7"
+    (Plan_digest.hex pl2)
+
 (* ------------------------------ compact ----------------------------- *)
 
 let test_compact_drops_floaters () =
@@ -1071,6 +1093,7 @@ let () =
             test_topology_matches_longest_chain;
           Alcotest.test_case "flexible reshape" `Quick
             test_topology_flexible_reshape;
+          Alcotest.test_case "K = 50 pinned" `Quick test_topology_large_pinned;
         ] );
       ( "compact",
         [
