@@ -3,13 +3,19 @@
     Holds an LU factorization (partial pivoting) of an [m x m] basis
     matrix drawn from the columns of a sparse constraint matrix, plus a
     product-form eta file for cheap rank-one column replacements.  The
-    factorization is a dense elimination; its factors and the eta
-    columns are stored without their zeros, so {!ftran} and {!btran}
-    cost O(m + nonzeros) instead of O(m{^ 2}).  They add up the dense
-    triangular solves' terms in the same order, so every entry they
-    return is [Float.equal] to the dense solves' (test/dense_basis.ml
-    keeps those as the reference); only the sign of a zero entry can
-    differ.  After {!Basis.refactor_every} updates the eta file is
+    factorization is a sparse right-looking elimination that replays the
+    dense one: it visits the columns in basis order, picks the dense
+    scan's pivot (the largest magnitude among the rows not yet pivoted,
+    the lowest position on ties), and computes each update term the
+    dense code computes with a nonzero factor in the same way, so its
+    factors are the dense elimination's bit for bit.  Its working
+    storage is O(m + entries + fill), with no [m x m] array.  The
+    factors and the eta columns are stored without their zeros, so
+    {!ftran} and {!btran} cost O(m + nonzeros) instead of O(m{^ 2}).
+    They add up the dense triangular solves' terms in the same order, so
+    every entry they return is [Float.equal] to the dense solves'
+    (test/dense_basis.ml keeps the dense kernels as the reference); only
+    the sign of a zero entry can differ.  After {!Basis.refactor_every} updates the eta file is
     discarded and the basis refactorized from scratch, bounding both
     memory and the accumulated floating-point error — the classic
     revised-simplex lifecycle.
@@ -48,9 +54,10 @@ val factors : t -> factors
 
 val factorize : t -> int array -> (factors, [ `Singular ]) result
 (** [factorize t basis] factorizes another basis of [t]'s matrix, for a
-    later {!load}.  [t]'s basis and factors are unchanged; the
-    elimination runs in [t]'s working matrix, so it allocates only its
-    result. *)
+    later {!load}.  [t]'s basis and factors are unchanged.  The
+    elimination runs in working storage that [t] keeps and grows only
+    when a basis needs more room than any before it, so it otherwise
+    allocates only its result. *)
 
 val load : t -> factors -> unit
 (** [load t f] restarts [t] from [f]: the basis becomes the one [f]

@@ -392,7 +392,7 @@ let random_vector rng m =
 
 let test_sparse_basis_matches_dense =
   QCheck.Test.make ~name:"sparse Basis = dense kernels through 70+ updates"
-    ~count:100
+    ~count:100 ~long_factor:100
     QCheck.(pair (int_range 1 80) int)
     (fun (m, seed) ->
       let rng = Random.State.make [| seed |] in
