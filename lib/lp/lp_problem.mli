@@ -7,8 +7,7 @@
 
     Variables are identified by the integer handle returned from
     {!add_var}; handles are dense and index directly into the solution
-    vector.  The builder is consumed by {!Revised.solve} and written out by
-    {!Lp_io.to_lp_format}. *)
+    vector.  The builder is consumed by {!Revised.solve}. *)
 
 type var = int
 

@@ -1,10 +1,9 @@
-(* Tests for Fp_lp: the model builder, the bounded-variable revised
-   simplex on known LPs, and the LP-format writer.  Includes a
-   brute-force 2-D vertex enumeration cross-check of optimality. *)
+(* Tests for Fp_lp: the model builder and the bounded-variable revised
+   simplex on known LPs.  Includes a brute-force 2-D vertex enumeration
+   cross-check of optimality. *)
 
 module Lp = Fp_lp.Lp_problem
 module Revised = Fp_lp.Revised
-module Lp_io = Fp_lp.Lp_io
 
 let checkf msg = Alcotest.check (Alcotest.float 1e-6) msg
 
@@ -270,34 +269,6 @@ let test_solution_always_feasible =
       | Revised.Optimal { x = sol; _ } -> Lp.constraint_violation p sol < 1e-6
       | _ -> false)
 
-(* ------------------------------ lp_io ------------------------------ *)
-
-let test_lp_format_smoke () =
-  let p = Lp.create ~name:"demo" () in
-  let x = Lp.add_var p ~lb:1. ~ub:4. ~obj:3. "x" in
-  let y = Lp.add_var p ~lb:neg_infinity ~obj:(-1.) "y!" in
-  let z = Lp.add_var p ~lb:2. ~ub:2. "z" in
-  let w = Lp.add_var p ~lb:neg_infinity ~ub:5. "w" in
-  ignore z;
-  ignore w;
-  Lp.add_constr p ~name:"r1" [ (1., x); (2., y) ] Lp.Le 7.;
-  Lp.add_constr p [ (1., x) ] Lp.Ge 1.;
-  Lp.add_constr p [ (1., y) ] Lp.Eq 0.;
-  let s = Lp_io.to_lp_format p in
-  let contains needle =
-    let n = String.length needle and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "minimize" true (contains "Minimize");
-  Alcotest.(check bool) "subject to" true (contains "Subject To");
-  Alcotest.(check bool) "bounds" true (contains "Bounds");
-  Alcotest.(check bool) "sanitized name" true (contains "y_");
-  Alcotest.(check bool) "fixed var" true (contains "z = 2");
-  Alcotest.(check bool) "free var line" true (contains "y_ free");
-  Alcotest.(check bool) "half-bounded line" true (contains "-inf <= w <= 5");
-  Alcotest.(check bool) "le row" true (contains "<= 7")
-
 (* ---------------------- interval propagation ----------------------- *)
 
 let test_propagate_tightens_and_restores () =
@@ -420,6 +391,4 @@ let () =
           QCheck_alcotest.to_alcotest test_simplex_matches_brute_force;
           QCheck_alcotest.to_alcotest test_solution_always_feasible;
         ] );
-      ( "lp_io",
-        [ Alcotest.test_case "format smoke" `Quick test_lp_format_smoke ] );
     ]
