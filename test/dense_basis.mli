@@ -1,5 +1,5 @@
 (** Dense LU basis kernels: the reference the tests check
-    {!Fp_lp.Basis}'s sparse solves against.
+    {!Fp_lp.Basis}'s sparse elimination and solves against.
 
     These are the library's former kernels, kept verbatim apart from
     reading the constraint matrix by columns: an [m x m] dense LU with
