@@ -86,7 +86,11 @@ let optimize ?(linearization = Formulation.Secant) nl pl =
              (fun p (envelope, rect, _) -> { p with Placement.rect; envelope })
              placed (Formulation.extract built x))
       in
-      (rebuilt, { stats with height_after = rebuilt.Placement.height })
+      (* The input is a feasible point of the LP, but the vertex the
+         simplex reaches can round a few ulps above its height: the
+         input is then the better plan. *)
+      if Tol.gt ~tol:0. rebuilt.Placement.height h0 then (pl, stats)
+      else (rebuilt, { stats with height_after = rebuilt.Placement.height })
     | Revised.Infeasible | Revised.Unbounded | Revised.Iteration_limit ->
       (* The input point is feasible, so this is numerical bad luck; keep
          the original placement. *)

@@ -35,7 +35,8 @@ val optimize :
 (** Re-optimize the placement.  Rigid modules keep their placed
     orientation; flexible modules may re-shape within their aspect
     window.  Envelope margins are preserved exactly as placed.  When the
-    LP fails (e.g. stops at its iteration limit), the input placement is
+    LP fails (e.g. stops at its iteration limit), or its plan comes out
+    taller than the input (by rounding), the input placement is
     returned unchanged, with [height_after = height_before]; so it is
     when a placed relation fits the strip only within the tolerance and
     no model is built (then every count in the stats is 0).

@@ -912,7 +912,9 @@ let test_topology_matches_longest_chain () =
 
 (* The §2.5 LP of a 50-module projection plan has 1,288 rows, ten times
    a branch-and-bound node LP's, and refactorizes its basis every
-   {!Fp_lp.Basis.refactor_every} pivots: pinned as it solves today. *)
+   {!Fp_lp.Basis.refactor_every} pivots: pinned as it solves today.  Its
+   optimal vertex rounds two ulps above the input's height, so the
+   input plan comes back. *)
 let test_topology_large_pinned () =
   let nl =
     List.hd (Fp_data.Instances.random_family ~sizes:[ 50 ] ~seed:1000)
@@ -927,9 +929,9 @@ let test_topology_large_pinned () =
   let hex = Printf.sprintf "%h" in
   Alcotest.(check string) "height before" "0x1.c4fe700951993p+6"
     (hex stats.Topology.height_before);
-  Alcotest.(check string) "height after" "0x1.c4fe700951995p+6"
+  Alcotest.(check string) "height after" "0x1.c4fe700951993p+6"
     (hex stats.Topology.height_after);
-  Alcotest.(check string) "plan" "d84c15ab76a25ffcc1a5d31b4c40a1a7"
+  Alcotest.(check string) "plan" "8799737b1164ccba870cf1a4f858efd0"
     (Plan_digest.hex pl2)
 
 (* ------------------------------ compact ----------------------------- *)
