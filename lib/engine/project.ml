@@ -128,38 +128,51 @@ let pairs_of n =
   done;
   { a; b }
 
+(* Whether the intervals [a0, a1] and [b0, b1] overlap by more than
+   eps, without a branch on the data: [positive (overlap a0 a1 b0 b1)]
+   exactly.  Rounded subtraction is monotone in both operands, so the
+   overlap, [min a1 b1 -. max a0 b0], is the smallest of the four
+   rounded differences; [positive] is monotone too, so it holds of the
+   smallest exactly when it holds of all four.  Each comparison is a
+   materialised bool, and [land] combines them. *)
+let[@inline] overlaps a0 a1 b0 b1 =
+  let p1 = positive (a1 -. b0) and p2 = positive (b1 -. a0) in
+  let p3 = positive (a1 -. a0) and p4 = positive (b1 -. b0) in
+  Bool.to_int p1 land Bool.to_int p2 land Bool.to_int p3 land Bool.to_int p4
+
 (* Projection onto one pairwise non-overlap constraint: if the two
    rectangles interpenetrate, translate both apart along the axis of
-   least penetration, half each, leaving [slack] daylight. *)
+   least penetration, half each, leaving [slack] daylight.  Most pairs
+   are apart, and deciding so takes no branch. *)
 let project_pair st i j =
   let xi = st.xs.(i) and xj = st.xs.(j) in
-  let ox = overlap xi (xi +. st.ws.(i)) xj (xj +. st.ws.(j)) in
-  if positive ox then begin
-    let yi = st.ys.(i) and yj = st.ys.(j) in
-    let oy = overlap yi (yi +. st.hs.(i)) yj (yj +. st.hs.(j)) in
-    if positive oy then
-      if leq ox oy then begin
-        let d = (ox +. slack) /. 2. in
-        if leq xi xj then begin
-          st.xs.(i) <- xi -. d;
-          st.xs.(j) <- xj +. d
-        end
-        else begin
-          st.xs.(i) <- xi +. d;
-          st.xs.(j) <- xj -. d
-        end
+  let yi = st.ys.(i) and yj = st.ys.(j) in
+  let ai = xi +. st.ws.(i) and aj = xj +. st.ws.(j) in
+  let bi = yi +. st.hs.(i) and bj = yj +. st.hs.(j) in
+  if overlaps xi ai xj aj land overlaps yi bi yj bj <> 0 then begin
+    let ox = overlap xi ai xj aj and oy = overlap yi bi yj bj in
+    if leq ox oy then begin
+      let d = (ox +. slack) /. 2. in
+      if leq xi xj then begin
+        st.xs.(i) <- xi -. d;
+        st.xs.(j) <- xj +. d
       end
       else begin
-        let d = (oy +. slack) /. 2. in
-        if leq yi yj then begin
-          st.ys.(i) <- yi -. d;
-          st.ys.(j) <- yj +. d
-        end
-        else begin
-          st.ys.(i) <- yi +. d;
-          st.ys.(j) <- yj -. d
-        end
+        st.xs.(i) <- xi +. d;
+        st.xs.(j) <- xj -. d
       end
+    end
+    else begin
+      let d = (oy +. slack) /. 2. in
+      if leq yi yj then begin
+        st.ys.(i) <- yi -. d;
+        st.ys.(j) <- yj +. d
+      end
+      else begin
+        st.ys.(i) <- yi +. d;
+        st.ys.(j) <- yj -. d
+      end
+    end
   end
 
 (* Whether pair [p] still penetrates deeper than the stopping depth on

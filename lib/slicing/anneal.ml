@@ -82,10 +82,9 @@ let neighbour rng expr =
     let chains = Polish.num_operator_chains expr in
     if chains = 0 then None
     else Some (Polish.apply_m2 expr (Rng.int rng chains))
-  | _ -> (
-    match Polish.m3_candidates expr with
-    | [] -> None
-    | cands -> Some (Polish.apply_m3 expr (List.nth cands (Rng.int rng (List.length cands)))))
+  | _ ->
+    let swaps = Polish.num_m3_candidates expr in
+    if swaps = 0 then None else Some (Polish.apply_m3 expr (Rng.int rng swaps))
 
 exception Truncated
 
@@ -122,11 +121,11 @@ let run ?(config = default_config) ?abort nl =
     for _ = 1 to 30 do
       match neighbour rng !probe with
       | None -> ()
-      | Some cand ->
-        let c = cost_of (Shape.resize probe_memo cand) in
+      | Some mv ->
+        let c = cost_of (Shape.resize probe_memo mv) in
         Shape.accept probe_memo;
         deltas := Float.abs (c -. !pc) :: !deltas;
-        probe := cand;
+        probe := mv.Polish.expr;
         pc := c
     done;
     match !deltas with
@@ -150,8 +149,8 @@ let run ?(config = default_config) ?abort nl =
          incr iterations;
          match neighbour rng !expr with
          | None -> ()
-         | Some cand ->
-           let c = cost_of (Shape.resize memo cand) in
+         | Some mv ->
+           let c = cost_of (Shape.resize memo mv) in
            let delta = c -. !cost in
            let accept =
              delta <= 0.
@@ -160,11 +159,11 @@ let run ?(config = default_config) ?abort nl =
            if accept then begin
              Shape.accept memo;
              incr accepted;
-             expr := cand;
+             expr := mv.Polish.expr;
              cost := c;
              if c < !best_cost then begin
                best_cost := c;
-               best_expr := cand
+               best_expr := mv.Polish.expr
              end
            end
        done;

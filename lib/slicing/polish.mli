@@ -15,7 +15,9 @@ type op = H | V
 type element = Operand of int | Operator of op
 
 type t
-(** A normalized Polish expression over modules [0 .. n-1]. *)
+(** A normalized Polish expression over modules [0 .. n-1]: a balloting
+    sequence in which every module occurs once and no two adjacent
+    operators are equal.  {!of_modules} and the moves make no other. *)
 
 val of_modules : int -> t
 (** [of_modules n] is the canonical initial expression
@@ -27,26 +29,41 @@ val element : t -> int -> element
 
 val num_modules : t -> int
 
-val is_valid : t -> bool
-(** Balloting property, each module exactly once, normalized (no two
-    equal adjacent operators). *)
+type move = private {
+  source : t;  (** the expression the move was drawn from *)
+  expr : t;  (** the candidate *)
+  lo : int;
+  hi : int;
+      (** [source] and [expr] differ at positions [lo] and [hi], and
+          nowhere outside [lo .. hi] *)
+}
+(** One neighbour of an expression, with the span where it differs from
+    it: the two operand positions of an M1 move, the chain of an M2
+    move, [p] and [p + 1] of an M3 move.  Only the moves below make one,
+    so {!Shape.resize} can trust its span.  Each move copies the
+    expression once; the counts below allocate nothing. *)
 
-val apply_m1 : t -> int -> t
+val apply_m1 : t -> int -> move
 (** [apply_m1 t i] swaps the [i]-th and [i+1]-th operands, for
-    [0 <= i < num_modules t - 1]. *)
-
-val apply_m2 : t -> int -> t
-(** [apply_m2 t i] complements the [i]-th maximal operator chain
-    ([H<->V] for every operator in the chain). *)
+    [0 <= i < num_modules t - 1].
+    @raise Invalid_argument for any other [i]. *)
 
 val num_operator_chains : t -> int
+(** The number of maximal runs of consecutive operators. *)
 
-val m3_candidates : t -> int list
-(** Positions [p] such that swapping elements [p] and [p+1] (one operand,
-    one operator) keeps the expression valid and normalized. *)
+val apply_m2 : t -> int -> move
+(** [apply_m2 t i] complements the [i]-th maximal operator chain
+    ([H<->V] for every operator in the chain), for
+    [0 <= i < num_operator_chains t].
+    @raise Invalid_argument for any other [i]. *)
 
-val apply_m3 : t -> int -> t
-(** Swap elements at positions [p] and [p+1] (must come from
-    {!m3_candidates}). *)
+val num_m3_candidates : t -> int
+(** The number of positions [p] such that swapping elements [p] and
+    [p+1] (one operand, one operator) keeps the expression normalized. *)
+
+val apply_m3 : t -> int -> move
+(** [apply_m3 t i] makes the [i]-th of those swaps in ascending
+    position, for [0 <= i < num_m3_candidates t].
+    @raise Invalid_argument for any other [i]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -191,14 +191,11 @@ let accept m =
 
 let current m = m.sub.(Array.length m.sub - 1)
 
-let check_size leaves expr =
-  if Polish.num_modules expr <> Array.length leaves then
-    invalid_arg "Shape: leaf table and expression differ in size"
-
 (* A new memo sizes its expression from scratch: as a candidate that
    differs at every position from a current expression nothing reads. *)
 let memo leaves expr =
-  check_size leaves expr;
+  if Polish.num_modules expr <> Array.length leaves then
+    invalid_arg "Shape: leaf table and expression differ in size";
   let len = (2 * Polish.num_modules expr) - 1 in
   let m =
     { leaves; expr; sub = Array.make len leaves.(0); start = Array.make len 0;
@@ -209,23 +206,15 @@ let memo leaves expr =
   accept m;
   m
 
-let same_element a b =
-  match (a, b) with
-  | Polish.Operand x, Polish.Operand y -> Int.equal x y
-  | Polish.Operator x, Polish.Operator y -> x = y
-  | Polish.Operand _, Polish.Operator _ | Polish.Operator _, Polish.Operand _ ->
-    false
-
-let resize m expr =
-  check_size m.leaves expr;
-  let last = Array.length m.sub - 1 in
-  let same j = same_element (Polish.element m.expr j) (Polish.element expr j) in
-  let rec first j = if j <= last && same j then first (j + 1) else j in
-  let rec final j = if j >= 0 && same j then final (j - 1) else j in
-  m.lo <- first 0;
-  m.hi <- final last;
-  walk m expr;
-  if resized m last then m.cand_sub.(last) else m.sub.(last)
+(* A move changes at least one position, so the whole expression, which
+   starts at 0, is always re-sized. *)
+let resize m (mv : Polish.move) =
+  if mv.Polish.source != m.expr then
+    invalid_arg "Shape.resize: move not drawn from the current expression";
+  m.lo <- mv.Polish.lo;
+  m.hi <- mv.Polish.hi;
+  walk m mv.Polish.expr;
+  m.cand_sub.(Array.length m.sub - 1)
 
 let size expr leaves = current (memo leaves expr)
 

@@ -28,13 +28,14 @@
     sized subtree that ends there and the position where it starts.
     The cut at position [j] has its right child end at [j - 1] and its
     left child end just before the right child starts, so a walk reads
-    a cut's children from the start positions, with no stack.  A
-    candidate that differs from the memo's expression only within
-    positions [lo .. hi] (the operands an M1 move swaps, the operator
-    chain an M2 move complements, the pair an M3 move swaps) walks from
-    [lo]: it reuses every subtree that ends before [lo] or starts after
-    [hi], and merges only the cuts within [lo .. hi] and the later cuts
-    whose subtree starts at or before [hi], the ancestors of the span.
+    a cut's children from the start positions, with no stack.  A move
+    ({!Polish.move}) carries the span [lo .. hi] where its candidate
+    differs from the memo's expression (the operands an M1 move swaps,
+    the operator chain an M2 move complements, the pair an M3 move
+    swaps), and the candidate walks from [lo]: it reuses every subtree
+    that ends before [lo] or starts after [hi], and merges only the cuts
+    within [lo .. hi] and the later cuts whose subtree starts at or
+    before [hi], the ancestors of the span.
     The candidate's subtrees go beside the memo's, which a rejected
     candidate leaves as they were; accepting one copies them in.  A
     cut's curve depends only on its children's curves, so the result is
@@ -79,14 +80,13 @@ val memo : leaves -> Polish.t -> memo
 val current : memo -> sized
 (** The sized current expression. *)
 
-val resize : memo -> Polish.t -> sized
-(** [resize m e] sizes the candidate [e], merging only the cuts whose
-    subtree overlaps the positions where [e] and the current expression
-    differ, and reusing every other subtree.  The result is
-    bit-identical to [size e]; the current expression is unchanged, so a
-    rejected candidate needs no undo.
-    @raise Invalid_argument if the table's module count is not the
-    expression's. *)
+val resize : memo -> Polish.move -> sized
+(** [resize m mv] sizes the move's candidate, merging only the cuts
+    whose subtree overlaps the move's span, and reusing every other
+    subtree.  The result is bit-identical to [size mv.expr]; the current
+    expression is unchanged, so a rejected candidate needs no undo.
+    @raise Invalid_argument if [mv] was not drawn from the memo's
+    current expression (physically). *)
 
 val accept : memo -> unit
 (** Make the candidate last sized by {!resize} the current expression,
