@@ -10,10 +10,14 @@
 
     A move re-merges only the cuts it touches: the leaf curves are built
     once per run, and each run sizes its moves through its own
-    {!Shape.memo}, which re-merges the cuts within the changed span of
-    the expression and their ancestors and reuses every other subtree
-    (6–8 merges per move on 33–56 modules, where sizing the whole
-    expression takes 32–55).  The chip is read from the root curve
+    {!Shape.memo}, which re-merges the cuts within the span the move
+    carries ({!Polish.move}) and their ancestors and reuses every other
+    subtree (6–8 merges per move on 33–56 modules, where sizing the
+    whole expression takes 32–55).  A move is drawn as one
+    [Rng.int rng 3] for its kind, then one index over that kind's count
+    (operand pairs, operator chains, valid M3 swaps); the counts
+    allocate nothing, and the move copies the expression once.  The
+    temperature probe draws and sizes its moves the same way.  The chip is read from the root curve
     ({!Shape.root}) — the same root {!Shape.realize} places, so cost and
     plan cannot disagree.  A placement is built per move only for the
     wirelength term (when [wire_weight] is non-zero).
