@@ -109,24 +109,27 @@ let[@inline] leq a b = a <= b +. Tol.eps
 let[@inline] overlap a0 a1 b0 b1 =
   (if a1 < b1 then a1 else b1) -. (if a0 < b0 then b0 else a0)
 
-(* The pairwise non-overlap constraints, one per module pair [a.(p) <
-   b.(p)], numbered (0,1), (0,2), (1,2), (0,3), ...  A sweep visits a
-   shuffled permutation of the pair numbers, so the numbering is part
-   of every seeded trajectory. *)
-type pairs = { a : int array; b : int array }
+(* The pairwise non-overlap constraints, one per module pair [i < j],
+   numbered (0,1), (0,2), (1,2), (0,3), ... and each packed into one
+   int as [(i lsl 20) lor j].  A sweep shuffles the codes and reads
+   both modules off each, and Fisher–Yates swaps do not depend on the
+   array's contents: so a sweep visits the pairs in the order a
+   shuffled permutation of the pair numbers gives, and the numbering
+   is part of every seeded trajectory. *)
+let pair_bits = 20
+let pair_mask = (1 lsl pair_bits) - 1
 
 let pairs_of n =
-  let m = n * (n - 1) / 2 in
-  let a = Array.make m 0 and b = Array.make m 0 in
+  if n > pair_mask then invalid_arg "Project: more than 2^20 - 1 modules";
+  let codes = Array.make (n * (n - 1) / 2) 0 in
   let p = ref 0 in
   for j = 1 to n - 1 do
     for i = 0 to j - 1 do
-      a.(!p) <- i;
-      b.(!p) <- j;
+      codes.(!p) <- (i lsl pair_bits) lor j;
       incr p
     done
   done;
-  { a; b }
+  codes
 
 (* Whether the intervals [a0, a1] and [b0, b1] overlap by more than
    eps, without a branch on the data: [positive (overlap a0 a1 b0 b1)]
@@ -175,10 +178,10 @@ let project_pair st i j =
     end
   end
 
-(* Whether pair [p] still penetrates deeper than the stopping depth on
-   both axes. *)
-let deep st pairs p =
-  let i = pairs.a.(p) and j = pairs.b.(p) in
+(* Whether the pair with code [c] still penetrates deeper than the
+   stopping depth on both axes. *)
+let deep st c =
+  let i = c lsr pair_bits and j = c land pair_mask in
   let xi = st.xs.(i) and xj = st.xs.(j) in
   let ox = overlap xi (xi +. st.ws.(i)) xj (xj +. st.ws.(j)) in
   if positive ox then
@@ -187,11 +190,12 @@ let deep st pairs p =
     positive oy && not (leq (if ox < oy then ox else oy) 1e-9)
   else false
 
-(* Whether any pair is still deep: stops at the first one. *)
+(* Whether any pair is still deep, in ascending pair order: stops at
+   the first one. *)
 let penetrated st pairs =
-  let m = Array.length pairs.a in
+  let m = Array.length pairs in
   let p = ref 0 in
-  while !p < m && not (deep st pairs !p) do
+  while !p < m && not (deep st pairs.(!p)) do
     incr p
   done;
   !p < m
@@ -234,7 +238,7 @@ let superiorize st ~alpha ~net_members ~wire_pull =
    deadline/abort fires.  Returns (sweeps spent, truncated). *)
 let project_phase rng st ~w_strip ~height ~sweeps ~alpha0 ~net_members
     ~wire_pull ~abort ~deadline pairs =
-  let order = Array.init (Array.length pairs.a) Fun.id in
+  let order = Array.copy pairs in
   let alpha = ref alpha0 in
   let k = ref 0 in
   let truncated = ref false in
@@ -257,8 +261,8 @@ let project_phase rng st ~w_strip ~height ~sweeps ~alpha0 ~net_members
       superiorize st ~alpha:!alpha ~net_members ~wire_pull;
       Rng.shuffle rng order;
       for q = 0 to Array.length order - 1 do
-        let p = order.(q) in
-        project_pair st pairs.a.(p) pairs.b.(p)
+        let c = order.(q) in
+        project_pair st (c lsr pair_bits) (c land pair_mask)
       done;
       project_box st ~w_strip ~height;
       alpha := !alpha *. 0.93;

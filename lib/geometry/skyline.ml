@@ -43,14 +43,22 @@ let add_rect t (r : Rect.t) =
 
 let of_rects ~width rects = List.fold_left add_rect (create ~width) rects
 
+(* [acc] raised to the height of each segment from [segs] on that
+   overlaps [lo, hi] by more than eps.  Segments lie in ascending [x],
+   and one that starts at or after [hi] fails the overlap test, so the
+   fold stops at the first. *)
+let rec height_from segs ~lo ~hi acc =
+  match segs with
+  | s :: rest when not (s.x0 >= hi) ->
+    let acc =
+      if Tol.lt (Float.max s.x0 lo) (Float.min s.x1 hi) then Float.max acc s.h
+      else acc
+    in
+    height_from rest ~lo ~hi acc
+  | _ -> acc
+
 let height_over t ~x0 ~x1 =
-  let lo = Float.max 0. x0 and hi = Float.min t.width x1 in
-  List.fold_left
-    (fun acc s ->
-      if Tol.lt (Float.max s.x0 lo) (Float.min s.x1 hi) then
-        Float.max acc s.h
-      else acc)
-    0. t.segs
+  height_from t.segs ~lo:(Float.max 0. x0) ~hi:(Float.min t.width x1) 0.
 
 let min_height_over t ~x0 ~x1 =
   let lo = Float.max 0. x0 and hi = Float.min t.width x1 in
@@ -63,40 +71,69 @@ let min_height_over t ~x0 ~x1 =
 
 let max_height t = List.fold_left (fun acc s -> Float.max acc s.h) 0. t.segs
 
-let min_height t =
-  List.fold_left (fun acc s -> Float.min acc s.h) infinity t.segs
-
 let area_under t =
   List.fold_left (fun acc s -> acc +. (s.h *. (s.x1 -. s.x0))) 0. t.segs
 
+(* The segments from [segs] on, less the leading ones that end at or
+   before [lo]. *)
+let rec past lo = function
+  | s :: rest when s.x1 <= lo -> past lo rest
+  | segs -> segs
+
+(* One forward pass over the segments, which lie in ascending [x].
+   Candidates: left ends ascend, and so do right ends minus [w]
+   (rounded subtraction of a constant is monotone).  Merging the two
+   runs, less the positions that do not fit, and dropping a candidate
+   equal to the one before lists the candidates as
+   [List.sort_uniq compare] would; the comparisons are exact, as
+   [compare]'s are.  Heights: [lo = max 0 x] only grows from one
+   candidate to the next, and a segment that ends at or before [lo]
+   fails the overlap test, so each height fold starts past the
+   segments that end at or before [lo], which stay behind for every
+   later candidate: [Float.max] folds over the same segments in the
+   same order as [height_over]. *)
 let best_position t ~w =
   if Tol.lt t.width w then None
-  else
-    let candidates =
-      List.concat_map (fun s -> [ s.x0; s.x1 -. w ]) t.segs
-      |> List.filter (fun x -> Tol.geq x 0. && Tol.leq (x +. w) t.width)
-      |> List.sort_uniq compare
+  else begin
+    let fits x = Tol.geq x 0. && Tol.leq (x +. w) t.width in
+    let scan = ref t.segs and any = ref false and last = ref 0. in
+    let bx = ref infinity and by = ref infinity in
+    let visit x =
+      if not (!any && x = !last) then begin
+        any := true;
+        last := x;
+        let lo = Float.max 0. x and hi = Float.min t.width (x +. w) in
+        scan := past lo !scan;
+        let y = height_from !scan ~lo ~hi 0. in
+        if Tol.lt y !by || (Tol.equal y !by && Tol.lt x !bx) then begin
+          bx := x;
+          by := y
+        end
+      end
     in
-    let candidates = if candidates = [] then [ 0. ] else candidates in
-    let better (bx, by) x =
-      let y = height_over t ~x0:x ~x1:(x +. w) in
-      if Tol.lt y by || (Tol.equal y by && Tol.lt x bx) then (x, y)
-      else (bx, by)
+    let rec merge lefts rights =
+      match (lefts, rights) with
+      | l :: lefts', _ when not (fits l.x0) -> merge lefts' rights
+      | _, r :: rights' when not (fits (r.x1 -. w)) -> merge lefts rights'
+      | l :: lefts', r :: rights' ->
+        let xl = l.x0 and xr = r.x1 -. w in
+        if xl <= xr then begin
+          visit xl;
+          merge lefts' rights
+        end
+        else begin
+          visit xr;
+          merge lefts rights'
+        end
+      | l :: lefts', [] ->
+        visit l.x0;
+        merge lefts' []
+      | [], r :: rights' ->
+        visit (r.x1 -. w);
+        merge [] rights'
+      | [], [] -> ()
     in
-    Some (List.fold_left better (infinity, infinity) candidates)
-
-let equal a b =
-  Tol.equal a.width b.width
-  && List.length a.segs = List.length b.segs
-  && List.for_all2
-       (fun s1 s2 ->
-         Tol.equal s1.x0 s2.x0 && Tol.equal s1.x1 s2.x1
-         && Tol.equal s1.h s2.h)
-       a.segs b.segs
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>skyline(w=%g):" t.width;
-  List.iter
-    (fun s -> Format.fprintf ppf " [%g,%g)@%g" s.x0 s.x1 s.h)
-    t.segs;
-  Format.fprintf ppf "@]"
+    merge t.segs t.segs;
+    if not !any then visit 0.;
+    Some (!bx, !by)
+  end

@@ -45,18 +45,19 @@ val min_height_over : t -> x0:float -> x1:float -> float
     rectangles (paper Theorems 1–2). *)
 
 val max_height : t -> float
-val min_height : t -> float
 
 val area_under : t -> float
 (** Integral of the profile — the area of the covered region, holes
     included. *)
 
 val best_position : t -> w:float -> (float * float) option
-(** [best_position t ~w] returns [(x, y)] for a bottom-left placement of a
-    width-[w] rectangle: the leftmost position minimizing the resulting top
-    [y + h_rect]... specifically [y = height_over t x (x+w)] minimized over
-    candidate x, ties broken toward smaller [y] then smaller [x].  [None]
-    when [w] exceeds the chip width. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+(** [best_position t ~w] is a bottom-left position [(x, y)] for a
+    width-[w] rectangle, with [y = height_over t ~x0:x ~x1:(x +. w)].
+    The candidates [x] are each segment's left end and its right end
+    minus [w], less those with [x < 0] or [x +. w > width] by more than
+    {!Tol.eps}; with none left, [x = 0.].  They are taken in ascending
+    order, and one replaces the best so far when its [y] is lower by
+    more than {!Tol.eps}, so a tie within {!Tol.eps} goes to the left.
+    [None] when [w] exceeds the chip width by more than {!Tol.eps}.
+    One forward pass over the segments: [O(S + C)] for [S] segments
+    and [C] overlaps of a candidate's span with a segment. *)

@@ -38,11 +38,13 @@ type leaves = sized array
    the last entry is the lowest, and it is kept when it lies below the
    last kept entry by more than [Tol.eps].  [kept] holds the kept
    entries, last first; an entry of the last kept width belongs to the
-   same run and is no higher, so it replaces that entry. *)
+   same run and is no higher, so it replaces that entry.  The tolerance
+   test is [Tol.geq e.h last.h] spelled out: [Tol]'s optional-argument
+   calls are not inlined and box their floats. *)
 let keep kept e =
   match kept with
   | last :: rest when Float.equal last.w e.w -> e :: rest
-  | last :: _ when Tol.geq e.h last.h -> kept
+  | last :: _ when last.h <= e.h +. Tol.eps -> kept
   | _ -> e :: kept
 
 let curve_of kept = Array.of_list (List.rev kept)
@@ -156,14 +158,38 @@ type memo = {
    reused; the others are re-sized. *)
 let resized m j = j >= m.lo && (j <= m.hi || m.start.(j) <= m.hi)
 
+(* Whether two curves hold the same (w, h) entries, bit for bit.
+   [combine] reads only these of its children's entries, so children
+   with the same ones merge into the same curve, back-pointers
+   included. *)
+let same_shapes (a : entry array) (b : entry array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : entry) (y : entry) ->
+         Int64.equal (Int64.bits_of_float x.w) (Int64.bits_of_float y.w)
+         && Int64.equal (Int64.bits_of_float x.h) (Int64.bits_of_float y.h))
+       a b
+
 (* Size the candidate [expr], which differs from the current expression
    only within positions [m.lo .. m.hi].  The cut at [j] has its right
    child end at [j - 1] and its left child end just before that child
-   starts, so a walk from [lo] needs no stack. *)
+   starts, so a walk from [lo] needs no stack.
+
+   A re-sized cut at [j >= hi] whose candidate subtree starts where the
+   memo's does, at or before [lo], covers the span, and outside it the
+   two expressions agree.  If its curve has the memo's (w, h) entries
+   at [j], every later re-sized cut is an ancestor of [j] whose other
+   child is the memo's, so its merge would give the memo's curve: the
+   walk builds it from the candidate's children with the memo's curve.
+   The root is always re-sized and has no later cut, so the test stops
+   short of it, and a walk over every position (a new memo) never
+   makes it. *)
 let walk m expr =
   let start_of j = if resized m j then m.cand_start.(j) else m.start.(j) in
   let sub_of j = if resized m j then m.cand_sub.(j) else m.sub.(j) in
-  for j = m.lo to Array.length m.sub - 1 do
+  let root = Array.length m.sub - 1 in
+  let unchanged = ref false in
+  for j = m.lo to root do
     if resized m j then
       match Polish.element expr j with
       | Polish.Operand k ->
@@ -171,8 +197,19 @@ let walk m expr =
         m.cand_start.(j) <- j
       | Polish.Operator op ->
         let l = start_of (j - 1) - 1 in
-        m.cand_start.(j) <- start_of l;
-        m.cand_sub.(j) <- combine op (sub_of l) (sub_of (j - 1))
+        let start = start_of l in
+        m.cand_start.(j) <- start;
+        if !unchanged then
+          m.cand_sub.(j) <-
+            { tree = Node (op, sub_of l, sub_of (j - 1));
+              curve = m.sub.(j).curve }
+        else begin
+          let s = combine op (sub_of l) (sub_of (j - 1)) in
+          m.cand_sub.(j) <- s;
+          unchanged :=
+            j >= m.hi && j < root && start = m.start.(j) && start <= m.lo
+            && same_shapes s.curve m.sub.(j).curve
+        end
   done;
   m.candidate <- Some expr
 
@@ -221,18 +258,19 @@ let size expr leaves = current (memo leaves expr)
 let frontier s = Array.to_list s.curve |> List.map (fun e -> (e.w, e.h))
 
 (* Heights fall strictly along a curve, so the lowest entry within the
-   width limit is the last one within it. *)
+   width limit is the last one within it.  The tests are [Tol.lt] and
+   [Tol.leq] spelled out, as in [keep]. *)
 let root_entry ?width_limit s =
   let min_area () =
     Array.fold_left
-      (fun b e -> if Tol.lt (e.w *. e.h) (b.w *. b.h) then e else b)
+      (fun b e -> if e.w *. e.h < (b.w *. b.h) -. Tol.eps then e else b)
       s.curve.(0) s.curve
   in
   match width_limit with
   | None -> min_area ()
   | Some wl ->
     let fit = ref (-1) in
-    Array.iteri (fun i e -> if Tol.leq e.w wl then fit := i) s.curve;
+    Array.iteri (fun i e -> if e.w <= wl +. Tol.eps then fit := i) s.curve;
     if !fit < 0 then min_area () else s.curve.(!fit)
 
 let root ?width_limit s =

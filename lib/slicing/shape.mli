@@ -35,12 +35,16 @@
     swaps), and the candidate walks from [lo]: it reuses every subtree
     that ends before [lo] or starts after [hi], and merges only the cuts
     within [lo .. hi] and the later cuts whose subtree starts at or
-    before [hi], the ancestors of the span.
+    before [hi], the ancestors of the span.  The merging stops early at
+    a cut past the span whose subtree starts where the memo's does, at
+    or before [lo], when its curve comes back with the memo's (w, h)
+    entries bit for bit: each ancestor after it takes the memo's curve
+    over the candidate's children, unmerged.
     The candidate's subtrees go beside the memo's, which a rejected
     candidate leaves as they were; accepting one copies them in.  A
-    cut's curve depends only on its children's curves, so the result is
-    bit-identical to sizing from scratch, which is the same walk over
-    every position. *)
+    cut's curve depends only on its children's (w, h) entries, so the
+    result is bit-identical to sizing from scratch, which is the same
+    walk over every position and never stops early. *)
 
 type option_list = (float * float) list
 (** Candidate (width, height) shapes for one module. *)
@@ -82,8 +86,9 @@ val current : memo -> sized
 
 val resize : memo -> Polish.move -> sized
 (** [resize m mv] sizes the move's candidate, merging only the cuts
-    whose subtree overlaps the move's span, and reusing every other
-    subtree.  The result is bit-identical to [size mv.expr]; the current
+    whose subtree overlaps the move's span, up to the first one past
+    the span whose curve comes back unchanged, and reusing every other
+    subtree and curve.  The result is bit-identical to [size mv.expr]; the current
     expression is unchanged, so a rejected candidate needs no undo.
     @raise Invalid_argument if [mv] was not drawn from the memo's
     current expression (physically). *)

@@ -36,7 +36,10 @@ val range : t -> lo:float -> hi:float -> float
 (** Uniform draw from [\[lo, hi)]. *)
 
 val shuffle : t -> int array -> unit
-(** In-place Fisher–Yates shuffle: one [int] draw per position, from
-    the last down.  Callers permute indices (module ids, pair numbers)
-    and read their payload through them; an int array is swapped
-    without the write barrier a boxed element would cost. *)
+(** In-place Fisher–Yates shuffle: for [i] from the last position down
+    to 1, swap [i] with [j = int t (i + 1)].  The draws, and the state
+    [t] is left in, are those of the [int] calls; the state is held in
+    a local across the shuffle and stored back once.  Callers permute
+    indices or packed codes (module ids, pair codes) and read their
+    payload through them; an int array is swapped without the write
+    barrier a boxed element would cost. *)

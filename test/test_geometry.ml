@@ -244,6 +244,129 @@ let test_skyline_area_bounds_for_grounded =
       a >= Rect.union_area rs -. 1e-6
       && a <= (30. *. Skyline.max_height sky) +. 1e-6)
 
+(* [Skyline.height_over] as a fold over every segment. *)
+let folded_height sky ~x0 ~x1 =
+  let lo = Float.max 0. x0 and hi = Float.min (Skyline.width sky) x1 in
+  List.fold_left
+    (fun acc (s : Skyline.segment) ->
+      if Tol.lt (Float.max s.x0 lo) (Float.min s.x1 hi) then Float.max acc s.h
+      else acc)
+    0. (Skyline.segments sky)
+
+(* The two-pass scan [Skyline.best_position] replaced: every left end,
+   and every right end minus [w], that fits, sorted without duplicates,
+   each measured over all the segments. *)
+let scanned_position sky ~w =
+  let width = Skyline.width sky in
+  if Tol.lt width w then None
+  else
+    let candidates =
+      List.concat_map
+        (fun (s : Skyline.segment) -> [ s.x0; s.x1 -. w ])
+        (Skyline.segments sky)
+      |> List.filter (fun x -> Tol.geq x 0. && Tol.leq (x +. w) width)
+      |> List.sort_uniq compare
+    in
+    let candidates = if candidates = [] then [ 0. ] else candidates in
+    let better (bx, by) x =
+      let y = folded_height sky ~x0:x ~x1:(x +. w) in
+      if Tol.lt y by || (Tol.equal y by && Tol.lt x bx) then (x, y)
+      else (bx, by)
+    in
+    Some (List.fold_left better (infinity, infinity) candidates)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Whether the one-pass position is the scan's, bit for bit, and
+   [height_over] is the full fold at every candidate, fitting or not. *)
+let matches_scan sky w =
+  List.for_all
+    (fun (s : Skyline.segment) ->
+      List.for_all
+        (fun x ->
+          same_bits
+            (Skyline.height_over sky ~x0:x ~x1:(x +. w))
+            (folded_height sky ~x0:x ~x1:(x +. w)))
+        [ s.x0; s.x1 -. w ])
+    (Skyline.segments sky)
+  &&
+  match (Skyline.best_position sky ~w, scanned_position sky ~w) with
+  | None, None -> true
+  | Some (x, y), Some (x', y') -> same_bits x x' && same_bits y y'
+  | _ -> false
+
+(* A grounded stack scaled by [f], on a chip [30 f] wide: scales that
+   are not powers of two put the segment ends off the integers, where
+   sums and differences round. *)
+let scaled_skyline f rs =
+  Skyline.of_rects ~width:(30. *. f)
+    (List.map
+       (fun (r : Rect.t) ->
+         rect (f *. r.Rect.x) (f *. r.Rect.y) (f *. r.Rect.w) (f *. r.Rect.h))
+       rs)
+
+let scale_arb = QCheck.oneofl [ 1.; 0.1; 0.7; 1.3 ]
+
+let test_best_position_grounded =
+  QCheck.Test.make ~name:"best position matches the scan on grounded stacks"
+    ~count:300 ~long_factor:30
+    QCheck.(
+      triple grounded_rects_arb scale_arb
+        (small_list (float_range 0. 32.)))
+    (fun (rs, f, ws) ->
+      let sky = scaled_skyline f rs in
+      List.for_all
+        (fun w -> matches_scan sky (f *. w))
+        (ws @ List.init 32 float_of_int))
+
+(* Widths that fit a segment, two adjacent segments or the whole chip
+   exactly, and one ulp either side: the candidates at [x1 -. w] then
+   land on or next to the segments' left ends. *)
+let test_best_position_ulp_widths =
+  QCheck.Test.make
+    ~name:"best position matches the scan at segment widths, one ulp apart"
+    ~count:300 ~long_factor:30
+    QCheck.(pair grounded_rects_arb scale_arb)
+    (fun (rs, f) ->
+      let sky = scaled_skyline f rs in
+      let segs = Skyline.segments sky in
+      let rec pairs = function
+        | (a : Skyline.segment) :: (b :: _ as rest) ->
+          (b.x1 -. a.x0) :: pairs rest
+        | _ -> []
+      in
+      let spans =
+        (Skyline.width sky
+        :: List.map (fun (s : Skyline.segment) -> s.x1 -. s.x0) segs)
+        @ pairs segs
+      in
+      List.for_all
+        (fun w ->
+          matches_scan sky (Float.pred w)
+          && matches_scan sky w
+          && matches_scan sky (Float.succ w))
+        spans)
+
+(* The projection engine's shape probe: modules packed one at a time
+   into a strip 1e9 wide, so they form one long row.  Every placement
+   is checked, in both orientations. *)
+let test_best_position_wide_strip =
+  QCheck.Test.make ~name:"best position matches the scan on a 1e9-wide strip"
+    ~count:100 ~long_factor:20
+    QCheck.(pair (int_range 1 60) int)
+    (fun (k, seed) ->
+      let rng = Fp_util.Rng.create seed in
+      let dim () = 0.1 +. Fp_util.Rng.float rng 20. in
+      let sky = ref (Skyline.create ~width:1e9) and ok = ref true in
+      for _ = 1 to k do
+        let w = dim () and h = dim () in
+        if not (matches_scan !sky w && matches_scan !sky h) then ok := false;
+        match Skyline.best_position !sky ~w with
+        | Some (x, y) -> sky := Skyline.add_rect !sky (rect x y w h)
+        | None -> ok := false
+      done;
+      !ok)
+
 (* ----------------------------- Covering ---------------------------- *)
 
 let test_covering_single () =
@@ -369,6 +492,9 @@ let () =
           Alcotest.test_case "leftmost tie" `Quick
             test_skyline_best_position_leftmost_tie;
           QCheck_alcotest.to_alcotest test_skyline_area_bounds_for_grounded;
+          QCheck_alcotest.to_alcotest test_best_position_grounded;
+          QCheck_alcotest.to_alcotest test_best_position_ulp_widths;
+          QCheck_alcotest.to_alcotest test_best_position_wide_strip;
         ] );
       ( "covering",
         [

@@ -445,7 +445,8 @@ let test_merge_matches_all_pairs =
    the all-pairs merge does. *)
 let test_resize_matches_size =
   QCheck.Test.make ~name:"incremental sizing matches full sizing" ~count:300
-    QCheck.(triple (int_range 0 5) (int_range 1 12) (int_range 0 1_000_000))
+    ~long_factor:30
+    QCheck.(triple (int_range 0 5) (int_range 1 24) (int_range 0 1_000_000))
     (fun (kind, n, seed) ->
       let rng = Rng.create seed in
       let defs = module_set kind n rng in
@@ -474,6 +475,40 @@ let test_resize_matches_size =
           end
       done;
       !ok)
+
+(* A re-sized cut that covers the span with the memo's (w, h) curve
+   stops the merging: its ancestors keep the memo's curves.  Each case
+   re-sizes one move and checks it against sizing from scratch:
+   - modules 0 and 1 are identical, so swapping them under the cut at 2
+     leaves its curve as it was, and the root takes the memo's curve
+     over the candidate's children, which place 1 left of 0;
+   - the cut at 4 keeps its width, 6, but not its height, 6 against 7,
+     so the root is merged again;
+   - the candidate's cut at 5 stacks modules 1 and 2 on the wide module
+     3 with the memo's curve at 5, 2 on 3, but starts at 1 where the
+     memo's starts at 3: the root's children differ, so it is merged
+     again. *)
+let test_resize_unchanged_curve () =
+  let e4 = Polish.of_modules 4 in
+  List.iter
+    (fun (options, e, shown, mv) ->
+      Alcotest.(check string) "expression" shown (expr_str e);
+      let leaves = Shape.leaves options in
+      let memo = Shape.memo leaves e in
+      let mv = mv e in
+      Alcotest.(check bool) shown true
+        (same_sizing
+           (shape_view (Shape.resize memo mv))
+           (shape_view (Shape.size mv.Polish.expr leaves))))
+    [ ( Array.map Shape.leaf_options
+          [| rigid 0 2. 1.; rigid 1 2. 1.; rigid 2 3. 1. |],
+        Polish.of_modules 3, "0 1 V 2 V", fun e -> Polish.apply_m1 e 0 );
+      ( [| [ (5., 5.) ]; [ (1., 1.) ]; [ (1., 2.) ]; [ (3., 3.) ] |],
+        moved Polish.apply_m2 2 (moved Polish.apply_m2 0 e4),
+        "0 1 H 2 V 3 H", fun e -> Polish.apply_m1 e 1 );
+      ( [| [ (1., 1.) ]; [ (1., 1.) ]; [ (1., 2.) ]; [ (5., 1.) ] |],
+        swap_at (moved Polish.apply_m2 1 e4) 4, "0 1 V 2 3 H V",
+        fun e -> List.find (fun mv -> mv.Polish.lo = 2) (m3_moves e) ) ]
 
 let test_accept_needs_candidate () =
   let leaves = leaves_of 3 (fun m -> Shape.leaf_options (rigid m 2. 1.)) in
@@ -685,6 +720,8 @@ let () =
           Alcotest.test_case "merge breaks ulp ties" `Quick test_merge_ulp_ties;
           QCheck_alcotest.to_alcotest test_merge_matches_all_pairs;
           QCheck_alcotest.to_alcotest test_resize_matches_size;
+          Alcotest.test_case "resize stops at an unchanged curve" `Quick
+            test_resize_unchanged_curve;
           Alcotest.test_case "accept needs a candidate" `Quick
             test_accept_needs_candidate;
           Alcotest.test_case "resize refuses a stale move" `Quick

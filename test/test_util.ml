@@ -81,6 +81,25 @@ let test_rng_shuffle_pinned () =
   Rng.shuffle (Rng.create 1990) arr;
   check Alcotest.(array int) "seed 1990" [| 6; 9; 1; 4; 5; 3; 11; 0; 7; 2; 8; 10 |] arr
 
+(* The shuffle makes the draws of [Rng.int] on the generator itself,
+   one per position from the last down, and leaves the generator where
+   those draws do. *)
+let test_rng_shuffle_matches_int =
+  QCheck.Test.make ~name:"shuffle draws as Rng.int does" ~count:200
+    ~long_factor:50
+    QCheck.(pair (int_range 0 2_000) int)
+    (fun (n, seed) ->
+      let rng = Rng.create seed and oracle = Rng.create seed in
+      let arr = Array.init n Fun.id and want = Array.init n Fun.id in
+      Rng.shuffle rng arr;
+      for i = n - 1 downto 1 do
+        let j = Rng.int oracle (i + 1) in
+        let tmp = want.(i) in
+        want.(i) <- want.(j);
+        want.(j) <- tmp
+      done;
+      arr = want && Int64.equal (Rng.next_int64 rng) (Rng.next_int64 oracle))
+
 (* ------------------------------ Stats ------------------------------ *)
 
 let test_mean () = checkf "mean" 2.5 (Stats.mean [ 1.; 2.; 3.; 4. ])
@@ -269,6 +288,7 @@ let () =
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
           Alcotest.test_case "shuffle pinned" `Quick test_rng_shuffle_pinned;
+          QCheck_alcotest.to_alcotest test_rng_shuffle_matches_int;
         ] );
       ( "stats",
         [
